@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .cf import neg_cf_eval, neg_cf_expand, riemenschneider_dual
 from .plumbing import SurfaceClass, adjunction_ok
 from .realizability import RealizabilityCertificate, verify_certificate
 
@@ -88,50 +87,36 @@ class RouteVerdict:
     diagnostic: str | None = None
 
 
-def _decode_two_led(cf) -> tuple[int, ...]:
-    """Run-length data of an expansion starting with a 2: (n1, n2, ..., n_{2p+1})."""
-    out = []
-    i = 0
-    run = 0
-    while i < len(cf) and cf[i] == 2:
-        run += 1
-        i += 1
-    if run == 0:
-        raise ValueError(f"expansion {tuple(cf)} does not start with 2")
-    out.append(run - 1)
-    while i < len(cf):
-        out.append(cf[i])  # single entry >= 3
-        i += 1
-        run = 0
-        while i < len(cf) and cf[i] == 2:
-            run += 1
-            i += 1
-        out.append(run)
-    return tuple(out)
+def _expansion_runs(p: int, q: int) -> tuple[int, ...]:
+    """Run-length form (k0, c1, k1, ..., cj, kj) of the expansion of p/q > 1.
 
-
-def _decode_single_led(cf) -> tuple[int, ...]:
-    """Run-length data of an expansion starting >= 3: (m1, m2, ..., m_{2q})."""
+    The expansion is 2 x k0, c1, 2 x k1, ..., cj, 2 x kj with every
+    single c >= 3 and runs k >= 0.  A run of k 2s ahead of a tail t
+    evaluates to ((k+1)t - k)/(kt - k + 1), so 1/(p/q - 1) = k + 1/(t-1)
+    with t - 1 > 1 unless the expansion ends: one divmod reads the run
+    and a second reads the single c = ceil(t).  Both steps are those of
+    Euclid's algorithm, so the length is logarithmic in p.
+    """
     out = []
-    i = 0
-    while i < len(cf):
-        if cf[i] == 2:
-            raise ValueError(f"expansion {tuple(cf)} has a misplaced 2")
-        out.append(cf[i])
-        i += 1
-        run = 0
-        while i < len(cf) and cf[i] == 2:
-            run += 1
-            i += 1
-        out.append(run)
-    return tuple(out)
+    while True:
+        k, r = divmod(q, p - q)
+        out.append(k)
+        if r == 0:  # p/q = (k+1)/k: the expansion ends with the run
+            return tuple(out)
+        u, v = divmod(p - q, r)  # t - 1 = (p-q)/r
+        if v == 0:  # t = u + 1 is the last coefficient
+            out += [u + 1, 0]
+            return tuple(out)
+        out.append(u + 2)
+        p, q = r, r - v  # the tail after c is 1/(c - t)
 
 
 def parse_delta_sequences(gammas) -> IterationInput:
     """Extract (n_seq, m_seq, d) from a descending gamma vector.
 
     Requires d1 <= 2 < d2 <= d3 for the reciprocals; callers handle the
-    d1 > 2 and d2 <= 2 cases before reaching here.
+    d1 > 2 and d2 <= 2 cases before reaching here.  The run lengths are
+    read off the reciprocals directly; no expansion is written out.
     """
     g = tuple(Fraction(x) for x in gammas)
     if len(g) < 3:
@@ -141,11 +126,10 @@ def parse_delta_sequences(gammas) -> IterationInput:
     d1, d2, d3 = 1 / g[0], 1 / g[1], 1 / g[2]
     if not d1 <= 2 < d2 <= d3:
         raise ValueError(f"reciprocals out of range: {d1}, {d2}, {d3}")
-    cf2 = neg_cf_expand(d2)
-    m_seq = _decode_single_led(cf2)
-    assert riemenschneider_dual(cf2) == _dual_closed_form(m_seq)
+    n_seq = _expansion_runs(d1.numerator, d1.denominator)
+    m_seq = _expansion_runs(d2.numerator, d2.denominator)[1:]  # d2 > 2: no leading 2s
     d = -((-d3.numerator) // d3.denominator)  # leading coefficient = ceil(d3)
-    return IterationInput(_decode_two_led(neg_cf_expand(d1)), m_seq, d)
+    return IterationInput((n_seq[0] - 1,) + n_seq[1:], m_seq, d)
 
 
 def run_trace(inp: IterationInput) -> list[BlowdownState]:
@@ -177,50 +161,48 @@ def d_bound_check(trace, d: int) -> bool:
     return all(d > s.p + s.q for s in trace)
 
 
-def _dual_closed_form(m_seq) -> tuple[int, ...]:
-    """Expansion of the dual of [m1, 2 x m2, ...]: runs m1-2, m_odd-3; singles m_even+3, last +2."""
-    cf = [2] * (m_seq[0] - 2)
-    last = len(m_seq) - 1
-    for idx in range(1, len(m_seq)):
-        if idx % 2 == 1:  # 1-based even position: single entry
-            cf.append(m_seq[idx] + (2 if idx == last else 3))
+def _eval_runs(runs) -> tuple[int, int]:
+    """(numerator, denominator) of the expansion with run-length form
+    (k0, c1, k1, c2, ...): runs of 2s at even positions, singles at odd.
+
+    Evaluated right to left on the pair (x, y) standing for x/y, starting
+    from infinity.  A single c maps it by [[c, -1], [1, 0]]; a run of k
+    2s by [[2, -1], [1, 0]]^k = [[k+1, -k], [k, 1-k]], which adds k(x-y)
+    to both entries.  Every matrix has determinant 1, so the result is in
+    lowest terms.
+    """
+    x, y = 1, 0
+    for idx in range(len(runs) - 1, -1, -1):
+        if idx % 2 == 0:
+            step = runs[idx] * (x - y)
+            x, y = x + step, y + step
         else:
-            cf.extend([2] * (m_seq[idx] - 3))
-    return tuple(cf)
+            x, y = runs[idx] * x - y, x
+    return x, y
 
 
-def _rho_from_m_prefix(m_seq, k: int) -> tuple[int, ...]:
-    """[2 x (m1-2), m2+3, 2 x (m3-3), ..., m_k+3] for even k."""
-    cf = [2] * (m_seq[0] - 2)
+def _rho_from_m_prefix(m_seq, k: int) -> tuple[int, int]:
+    """Value of [2 x (m1-2), m2+3, 2 x (m3-3), ..., m_k+3] for even k."""
+    runs = [m_seq[0] - 2]
     for idx in range(1, k):
-        if idx % 2 == 1:
-            cf.append(m_seq[idx] + 3)
-        else:
-            cf.extend([2] * (m_seq[idx] - 3))
-    return tuple(cf)
+        runs.append(m_seq[idx] + 3 if idx % 2 == 1 else m_seq[idx] - 3)
+    return _eval_runs(runs)
 
 
-def _rho_from_n_prefix(n_seq, k: int) -> tuple[int, ...]:
-    """[2 x (n1+1), n2, 2 x n3, ..., 2 x (n_k+1)] for odd k.
+def _rho_from_n_prefix(n_seq, k: int) -> tuple[int, int]:
+    """Value of [2 x (n1+1), n2, 2 x n3, ..., 2 x (n_k+1)] for odd k.
 
     The final run gains one extra 2; for k = 1 the leading and final run
     coincide and both adjustments apply.
     """
-    if k == 1:
-        return (2,) * (n_seq[0] + 2)
-    cf = [2] * (n_seq[0] + 1)
-    for idx in range(1, k - 1):
-        if idx % 2 == 1:
-            cf.append(n_seq[idx])
-        else:
-            cf.extend([2] * n_seq[idx])
-    cf.extend([2] * (n_seq[k - 1] + 1))
-    return tuple(cf)
+    runs = list(n_seq[:k])
+    runs[0] += 1
+    runs[-1] += 1
+    return _eval_runs(runs)
 
 
-def _validated(gammas, assignment, rho_cf, tag: str) -> RouteVerdict:
-    value = neg_cf_eval(rho_cf)
-    cert = RealizabilityCertificate(value.numerator, value.denominator, assignment)
+def _validated(gammas, assignment, rho: tuple[int, int], tag: str) -> RouteVerdict:
+    cert = RealizabilityCertificate(rho[0], rho[1], assignment)
     if verify_certificate(gammas, cert):
         return RouteVerdict("realizable", case_tag=tag, certificate=cert)
     return RouteVerdict(
@@ -251,7 +233,7 @@ def decide_route(gammas) -> RouteVerdict:
     order = tuple(sorted(range(len(g)), key=lambda i: -g[i]))
     gs = [g[i] for i in order]
     if gs[0] < Fraction(1, 2):
-        return _validated(g, order, (2,), "gamma1-below-half")
+        return _validated(g, order, (2, 1), "gamma1-below-half")
     if gs[0] + gs[1] >= 1:
         return RouteVerdict(
             "obstructed",

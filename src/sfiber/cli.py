@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import blowdown, plumbing, realizability, sweeps
+from . import blowdown, plumbing, realizability
 from .decide import (
     ConsistencyError,
     admits_invariant_transverse_contact,
@@ -258,6 +258,10 @@ def _cmd_blowdown_trace(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    # imported here: the process pool's modules cost every other command
+    # a large share of its start-up time
+    from . import sweeps
+
     jobs = args.jobs
     oracle = sweeps.route_oracle_sweep(args.r, args.max_denominator, jobs=jobs)
     derived = sweeps.derived_consistency_sweep(args.r, args.max_denominator, jobs=jobs)

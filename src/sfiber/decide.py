@@ -48,7 +48,12 @@ class Decision:
     evidence: dict
 
 
-@lru_cache(maxsize=None)
+# Decisions on distinct gamma vectors kept per process; bounded so that a
+# long-lived process (or a forked sweep worker) does not grow without limit.
+ORACLE_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=ORACLE_CACHE_SIZE)
 def _oracle_with_shadow(gammas: tuple) -> RealizabilityCertificate | None:
     cert = realizability.is_realizable(gammas)
     verdict = blowdown.decide_route(gammas)

@@ -1,4 +1,4 @@
-"""Brute-force realizability oracle for gamma vectors.
+"""Realizability oracle for gamma vectors: the simplest fraction.
 
 A vector (g1,...,gr) of rationals in (0,1) is realizable if r >= 3 and
 there are coprime integers m > a > 0 and a permutation s with
@@ -7,7 +7,20 @@ there are coprime integers m > a > 0 and a permutation s with
 
 Sorting the entries in descending order is no loss of generality: the
 first two slots carry the weakest bounds, so the two largest entries go
-there.  Any certificate forces g_(3) < 1/m, which bounds the search.
+there, and the third largest entry bounds all the others.  With the
+entries sorted, the first two conditions say that a/m lies strictly
+inside the interval (g_(1), 1 - g_(2)), and the rest say m < 1/g_(3).
+The last bound only grows harder with m, so a certificate exists exactly
+when the fraction of least denominator inside the interval satisfies it.
+
+That fraction is unique: it is the simplest fraction of the interval,
+the first of its points met when descending the Stern-Brocot tree
+(Graham-Knuth-Patashnik, Concrete Mathematics, section 4.5).  It is
+found from the regular continued fractions of the two endpoints: strip
+their common integer part, then invert both and repeat.  The number of
+steps is the length of those continued fractions, logarithmic in the
+denominators.  Among all certificates it is the one with least m, and
+then least a, so the answer does not depend on the search strategy.
 """
 
 from __future__ import annotations
@@ -32,10 +45,30 @@ def _check_entries(gammas) -> None:
             raise ValueError(f"gamma entries must lie in (0,1), got {g}")
 
 
-def is_realizable(gammas) -> RealizabilityCertificate | None:
-    """Search for a certificate; None if none exists (or r < 3).
+def _simplest_between(ln: int, ld: int, un: int, ud: int) -> tuple[int, int]:
+    """Least-denominator fraction strictly inside (ln/ld, un/ud), as (num, den).
 
-    Deterministic: m ascending, then a ascending, entries assigned in
+    Requires 0 <= ln/ld < un/ud with positive denominators.  Each step
+    writes the answer as c + 1/y with c the common integer part of the
+    endpoints, and looks for y between the inverted remainders; the
+    partial quotients are then folded into a convergent.  A remainder of
+    zero makes the upper end of the next interval infinite (ud = 0).
+    """
+    # convergents h/k of the continued fraction collected so far
+    h, h_prev, k, k_prev = 1, 0, 0, 1
+    while True:
+        c, ln_rem = divmod(ln, ld)
+        if ud == 0 or (c + 1) * ud < un:
+            c += 1  # the next integer lies inside: the fraction ends here
+            return c * h + h_prev, c * k + k_prev
+        h, h_prev, k, k_prev = c * h + h_prev, h, c * k + k_prev, k
+        ln, ld, un, ud = ud, un - c * ud, ld, ln_rem
+
+
+def is_realizable(gammas) -> RealizabilityCertificate | None:
+    """The least certificate, or None if none exists (or r < 3).
+
+    Least means m smallest, then a smallest; the entries are assigned in
     stable descending order.
     """
     gammas = tuple(Fraction(g) for g in gammas)
@@ -46,15 +79,12 @@ def is_realizable(gammas) -> RealizabilityCertificate | None:
     n1, d1 = gammas[order[0]].numerator, gammas[order[0]].denominator
     n2, d2 = gammas[order[1]].numerator, gammas[order[1]].denominator
     n3, d3 = gammas[order[2]].numerator, gammas[order[2]].denominator
-    m = 2
-    while m * n3 < d3:  # m < 1/g_(3), exclusive
-        for a in range(1, m):
-            if gcd(a, m) != 1:
-                continue
-            if n1 * m < a * d1 and n2 * m < (m - a) * d2:
-                return RealizabilityCertificate(m, a, tuple(order))
-        m += 1
-    return None
+    if n1 * d2 >= (d2 - n2) * d1:  # g_(1) >= 1 - g_(2): the interval is empty
+        return None
+    a, m = _simplest_between(n1, d1, d2 - n2, d2)
+    if m * n3 >= d3:  # m >= 1/g_(3)
+        return None
+    return RealizabilityCertificate(m, a, tuple(order))
 
 
 def verify_certificate(gammas, cert: RealizabilityCertificate) -> bool:

@@ -2,8 +2,8 @@
 
 Three suites, all exact and deterministic:
 
-* route vs oracle: the blow-down route and the brute-force search must
-  agree on realizability for every gamma multiset in range, with no
+* route vs oracle: the blow-down route and the simplest-fraction oracle
+  must agree on realizability for every gamma multiset in range, with no
   inconclusive verdicts;
 * theorem consistency: over an enumeration of normalized Seifert data,
   a transverse foliation (outside S1 x S2) must imply transverse contact

@@ -2,10 +2,19 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import cf_single_led, cf_two_led, replay_blowdowns
+from conftest import (
+    cf_single_led,
+    cf_two_led,
+    dual_closed_form,
+    replay_blowdowns,
+    rho_from_m_prefix_cf,
+    rho_from_n_prefix_cf,
+)
 from sfiber.blowdown import (
     BlowdownState,
     IterationInput,
@@ -58,6 +67,43 @@ def test_parse_roundtrips_expansions():
         inp = parse_delta_sequences((1 / d1, 1 / d2, 1 / d3))
         assert inp.n_seq == n_seq and inp.m_seq == m_seq
         assert neg_cf_expand(d3)[0] == inp.d
+
+
+def _check_runs_against_expansions(d1, d2):
+    """The run-length parse rebuilds both expansions, and the closed-form
+    dual of the second agrees with the point diagram."""
+    inp = parse_delta_sequences((1 / d1, 1 / d2, 1 / d2))
+    cf2 = neg_cf_expand(d2)
+    assert cf_two_led(inp.n_seq) == neg_cf_expand(d1)
+    assert cf_single_led(inp.m_seq) == cf2
+    assert riemenschneider_dual(cf2) == dual_closed_form(inp.m_seq)
+
+
+def test_dual_closed_form_exhaustive():
+    """Every reduced d2 = p/q > 2 whose gamma has denominator p < 400."""
+    checked = 0
+    for p in range(3, 400):
+        for q in range(1, (p - 1) // 2 + 1):
+            if gcd(p, q) == 1:
+                _check_runs_against_expansions(F(p + q, p), F(p, q))
+                checked += 1
+    assert checked == 24258
+
+
+@st.composite
+def _reciprocal_pairs(draw):
+    """(d1, d2) with 1 < d1 <= 2 < d2, gamma denominators up to 10^6."""
+    p1 = draw(st.integers(2, 10**6))
+    q1 = draw(st.integers((p1 + 1) // 2, p1 - 1))
+    p2 = draw(st.integers(3, 10**6))
+    q2 = draw(st.integers(1, (p2 - 1) // 2))
+    return F(p1, q1), F(p2, q2)
+
+
+@given(_reciprocal_pairs())
+@settings(max_examples=25, deadline=None)
+def test_dual_closed_form_large(pair):
+    _check_runs_against_expansions(*pair)
 
 
 def test_iteration_input_validation():
@@ -183,12 +229,32 @@ def test_prefix_fraction_lemma():
         for k in range(1, limit + 2):
             state = trace[k]
             if k % 2 == 0:
-                rho = _rho_from_m_prefix(inp.m_seq, k)
+                rho = rho_from_m_prefix_cf(inp.m_seq, k)
                 assert neg_cf_eval(reverse_cf(rho)) == F(state.p + state.q, state.p)
             else:
-                rho = _rho_from_n_prefix(inp.n_seq, k)
+                rho = rho_from_n_prefix_cf(inp.n_seq, k)
                 assert neg_cf_eval(rho).numerator == state.p + state.q
         checked += 1
+
+
+def test_prefix_values_match_expanded_lists():
+    """The run-based prefix values equal the written-out expansions,
+    evaluated term by term, on every prefix length, with runs up to 10^3."""
+    rng = random.Random(12)
+    for _ in range(200):
+        p = rng.randint(0, 3)
+        q = rng.randint(1, 3)
+        big = rng.choice((6, 1000))
+        n_seq = tuple(rng.randint(0, big) if i % 2 == 0 else rng.randint(3, big)
+                      for i in range(2 * p + 1))
+        m_seq = tuple(rng.randint(3, big) if i % 2 == 0 else rng.randint(0, big)
+                      for i in range(2 * q))
+        for k in range(2, 2 * q + 1, 2):
+            value = neg_cf_eval(rho_from_m_prefix_cf(m_seq, k))
+            assert _rho_from_m_prefix(m_seq, k) == (value.numerator, value.denominator)
+        for k in range(1, 2 * p + 2, 2):
+            value = neg_cf_eval(rho_from_n_prefix_cf(n_seq, k))
+            assert _rho_from_n_prefix(n_seq, k) == (value.numerator, value.denominator)
 
 
 def test_local_conservation_under_each_blowdown():

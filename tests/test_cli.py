@@ -1,8 +1,15 @@
-"""CLI: grammar round-trips, golden outputs, exit codes, job determinism."""
+"""CLI: grammar round-trips, golden outputs, exit codes, job determinism,
+cold-start imports and large-invariant decisions in a fresh process."""
 
 import io
+import json
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +17,7 @@ from sfiber import blowdown, decide
 from sfiber.blowdown import RouteVerdict
 from sfiber.cli import SeifertParseError, main, parse_gamma_list, parse_seifert, seifert_to_text
 from sfiber.seifert import SeifertData
+from sfiber.sweeps import fibers_for_gammas
 
 POINCARE_EXPR = "{-1; 0; (2,1),(3,1),(5,1)}"
 
@@ -210,3 +218,38 @@ def test_invariants_roundtrip_fields(capsys):
     assert payload["reversed"]["e"] == "1/30"
     assert payload["reversed"]["normalized"] == "{-2; 0; (2,1),(3,2),(5,4)}"
     assert parse_seifert(payload["normalized"]) == SeifertData(-1, 0, ((2, 1), (3, 1), (5, 1)))
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _fresh_python(args, timeout):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+
+
+def test_cli_import_leaves_out_sweeps():
+    """Only `sfiber sweep` needs the sweep suites and their process pool."""
+    probe = ("import sys, sfiber.cli; "
+             "print(sorted({'sfiber.sweeps', 'concurrent.futures.process'} & set(sys.modules)))")
+    result = _fresh_python(["-c", probe], timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("n", [10**5, 10**6])
+@pytest.mark.parametrize("family", [
+    lambda n: (1 - Fraction(1, n), Fraction(1, n + 1), Fraction(1, n + 2)),
+    lambda n: (Fraction(1, 2), Fraction(1, 2) - Fraction(1, n), Fraction(2, n)),
+], ids=["one-minus-inverse", "half-split"])
+def test_decide_contact_large_unrealizable_families(family, n):
+    """Two unrealizable e0 = -1 families: a decision that grows with
+    1/gamma_3 or with the expansion length fails here by the timeout
+    instead of hanging the suite."""
+    text = seifert_to_text(SeifertData(-2, 0, fibers_for_gammas(family(n))))
+    result = _fresh_python(["-m", "sfiber.cli", "decide", "contact", text], timeout=60)
+    assert result.returncode == 0, result.stderr
+    payload = json.loads(result.stdout)
+    assert payload["answer"] is False and payload["evidence"]["e0"] == -1

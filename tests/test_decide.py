@@ -167,6 +167,17 @@ def test_shadow_disagreement_is_surfaced(monkeypatch):
     decide._oracle_with_shadow.cache_clear()
 
 
+def test_oracle_cache_is_bounded():
+    """Distinct consults beyond the bound evict the oldest entries."""
+    decide._oracle_with_shadow.cache_clear()
+    for k in range(5000):
+        decide._oracle_with_shadow((Fraction(1, 2), Fraction(1, 3), Fraction(1, 4 + k)))
+    info = decide._oracle_with_shadow.cache_info()
+    assert info.misses == 5000
+    assert info.currsize <= 4096 and info.maxsize == decide.ORACLE_CACHE_SIZE == 4096
+    decide._oracle_with_shadow.cache_clear()
+
+
 def test_unnormalized_input_accepted():
     decision = admits_transverse_contact(SeifertData(-4, 0, ((2, 7), (3, 1), (5, 1))))
     # (2,7) normalizes to (2,1) with b absorbing 3

@@ -1,12 +1,15 @@
-"""Realizability oracle: examples, boundary strictness, search soundness."""
+"""Realizability oracle: examples, boundary strictness, agreement with the
+brute-force search and the blow-down route."""
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from conftest import brute_force_certificate
+from sfiber.blowdown import decide_route
 from sfiber.realizability import RealizabilityCertificate, is_realizable, verify_certificate
 from sfiber.sweeps import gamma_values
 
@@ -133,3 +136,64 @@ def test_sorted_search_matches_exhaustive_permutation_search(r):
             assert deltas[0] > Fraction(cert.m, cert.a)
             assert deltas[1] > Fraction(cert.m, cert.m - cert.a)
             assert all(d > cert.m for d in deltas[2:])
+
+
+def _triple(cert):
+    return None if cert is None else (cert.m, cert.a, cert.assignment)
+
+
+def test_oracle_matches_brute_force_certificates():
+    """Every 3-multiset with denominators <= 16: the simplest fraction is the
+    certificate the brute-force search finds first, slot for slot."""
+    checked = 0
+    for combo in combinations_with_replacement(gamma_values(16), 3):
+        cert = is_realizable(combo)
+        assert _triple(cert) == brute_force_certificate(combo), combo
+        checked += 1
+    assert checked == 85320
+
+
+large_fracs = st.integers(2, 10**6).flatmap(
+    lambda q: st.integers(1, q - 1).map(lambda p: Fraction(p, q)))
+
+
+@given(st.lists(large_fracs, min_size=3, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_oracle_route_agree_large_denominators(gammas):
+    """Denominators up to 10^6: the oracle and the route agree on presence,
+    every certificate either reports is valid, and the brute-force search
+    joins in wherever 1/gamma_(3) <= 200."""
+    cert = is_realizable(gammas)
+    verdict = decide_route(gammas)
+    assert verdict.kind != "inconclusive", (gammas, verdict)
+    assert (verdict.kind == "realizable") == (cert is not None), (gammas, cert, verdict)
+    if cert is not None:
+        assert verify_certificate(gammas, cert)
+        assert verify_certificate(gammas, verdict.certificate)
+    if 1 / sorted(gammas)[-3] <= 200:
+        assert _triple(cert) == brute_force_certificate(gammas)
+
+
+@st.composite
+def _boundary_vectors(draw):
+    """gamma_1 just off a/m on either side, gamma_2 just below (m-a)/m and
+    gamma_3 at 1/m or 1/(m+1): denominators up to 10^6, 1/gamma_3 <= 200."""
+    m = draw(st.integers(2, 199))
+    a = draw(st.integers(1, m - 1))
+    assume(gcd(a, m) == 1)
+    q1, q2 = (draw(st.integers(2, 10**6 // m)) for _ in range(2))
+    gamma1 = Fraction(a, m) + draw(st.sampled_from((-1, 1))) * Fraction(1, m * q1)
+    gamma2 = Fraction(m - a, m) - Fraction(1, m * q2)
+    gamma3 = Fraction(1, m + draw(st.integers(0, 1)))
+    assume(0 < gamma1 < 1 and gamma3 <= min(gamma1, gamma2))
+    return draw(st.permutations((gamma1, gamma2, gamma3)))
+
+
+@given(_boundary_vectors())
+@settings(max_examples=300, deadline=None)
+def test_oracle_matches_brute_force_near_the_boundary(gammas):
+    """Vectors on both sides of the realizability boundary agree with the
+    brute-force search certificate for certificate, and with the route."""
+    cert = is_realizable(gammas)
+    assert _triple(cert) == brute_force_certificate(gammas)
+    assert (decide_route(gammas).kind == "realizable") == (cert is not None)
