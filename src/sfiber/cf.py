@@ -23,20 +23,21 @@ LESS, EQUAL, GREATER = -1, 0, 1
 def neg_cf_expand(value) -> tuple[int, ...]:
     """Expand a rational > 1 into its unique all->=2 minus-sign expansion.
 
-    Each step takes the ceiling and inverts the defect, which strictly
-    decreases the denominator, so the expansion has at most ``numerator``
-    terms.
+    Each step takes the ceiling c of p/q and continues with the inverted
+    defect q/(c*q - p), which strictly decreases the denominator, so the
+    expansion has at most ``numerator`` terms.  The pair (p, q) stays in
+    lowest terms, so no step needs a gcd.
     """
     rho = Fraction(value)
     if rho <= 1:
         raise ValueError(f"expansion requires a rational > 1, got {rho}")
+    p, q = rho.numerator, rho.denominator
     coeffs = []
-    while True:
-        c = -((-rho.numerator) // rho.denominator)  # ceil
+    while q:
+        c = -(-p // q)  # ceil
         coeffs.append(c)
-        if rho == c:
-            return tuple(coeffs)
-        rho = 1 / (c - rho)
+        p, q = q, c * q - p
+    return tuple(coeffs)
 
 
 def neg_cf_eval(coeffs) -> Fraction:

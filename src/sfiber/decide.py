@@ -93,8 +93,8 @@ def admits_transverse_contact(data: SeifertData, *, shadow: bool = True) -> Deci
 def admits_transverse_foliation(data: SeifertData, *, shadow: bool = True) -> Decision:
     """Decide existence of a smooth foliation transverse to the fibration."""
     m = normalize(data)
-    rev = reverse_orientation(m)
-    e, e0, e0_rev = euler_number(m), e_zero(m), e_zero(rev)
+    e, e0 = euler_number(m), e_zero(m)
+    e0_rev = -e0 - len(m.fibers)  # e0(-M); -M itself is built only for Fol-d
     chi = euler_char_base(m.g)
     evidence = {"e": e, "e0": e0, "e0_rev": e0_rev, "chi": chi, "certificate": None}
     if e0 <= -chi and e0_rev <= -chi:
@@ -106,7 +106,7 @@ def admits_transverse_foliation(data: SeifertData, *, shadow: bool = True) -> De
         if cert is not None:
             return Decision(True, "Fol-c", {**evidence, "certificate": cert})
     if m.g == 0 and e0_rev == -1:
-        cert = _realizable(rev, shadow=shadow)
+        cert = _realizable(reverse_orientation(m), shadow=shadow)
         if cert is not None:
             return Decision(True, "Fol-d", {**evidence, "certificate": cert})
     return Decision(False, None, evidence)

@@ -11,6 +11,11 @@ binom(p,2) to the genus of a neighbor met p times (double points are
 smoothed immediately), and adds p*q to the multiplicity between
 neighbors met p and q times.  Graphs are treated as immutable values:
 every operation returns a fresh graph.
+
+Negative definiteness is decided by exact elimination, children before
+parents on trees with integer-pair pivots.  On a star every leg is
+eliminated once and its contribution to the centre reused for every
+central weight.
 """
 
 from __future__ import annotations
@@ -169,42 +174,12 @@ def _sparse_rows(matrix):
     return [{j: x for j, x in enumerate(row) if x} for row in matrix]
 
 
-def _indexed_pivots_negative(rows):
-    """Descending-index elimination when each vertex has at most one
-    lower-indexed neighbor (star plumbings: legs carry increasing ids).
-
-    Pivots are exact integer pairs.  Returns None when the index-order
-    assumption fails, handing off to the order-free eliminators.
-    """
-    n = len(rows)
-    acc = [None] * n  # child contributions -sum w^2/d_child as (num, den)
-    for v in range(n - 1, -1, -1):
-        diag = 0
-        parent = -1
-        pw = 0
-        for u, w in rows[v].items():
-            if u == v:
-                diag = w
-            elif u < v:
-                if parent >= 0:
-                    return None  # two lower neighbors
-                parent, pw = u, w
-        a = acc[v]
-        if a is None:
-            num, den = diag, 1
-        else:
-            num, den = diag * a[1] + a[0], a[1]
-        if den < 0:
-            num, den = -num, -den
-        if num >= 0:
-            return False
-        if parent >= 0:
-            pa = acc[parent]
-            if pa is None:
-                acc[parent] = (-pw * pw * den, num)
-            else:
-                acc[parent] = (pa[0] * num - pw * pw * den * pa[1], pa[1] * num)
-    return True
+def _absorb(pivot, w, child):
+    """The pivot num/den after eliminating a child met w times whose own
+    pivot cn/cd is negative: num/den - w^2 cd/cn, again an integer pair
+    with a positive denominator."""
+    (num, den), (cn, cd) = pivot, child
+    return w * w * cd * den - num * cn, -den * cn
 
 
 def _forest_pivots_negative(rows):
@@ -238,18 +213,52 @@ def _forest_pivots_negative(rows):
                 stack.append(u)
         ratio: dict[int, tuple[int, int]] = {}
         for v in reversed(order):  # children first
-            num, den = rows[v].get(v, 0), 1
+            pivot = (rows[v].get(v, 0), 1)
             for u, w in rows[v].items():
-                if u == v or parent.get(u) != v:
-                    continue
-                cn, cd = ratio[u]
-                num, den = num * cn - w * w * cd * den, den * cn
-            if den < 0:
-                num, den = -num, -den
-            if num >= 0:
+                if u != v and parent.get(u) == v:
+                    pivot = _absorb(pivot, w, ratio[u])
+            if pivot[0] >= 0:
                 return False
-            ratio[v] = (num, den)
+            ratio[v] = pivot
     return True
+
+
+def leg_contribution(alpha: int, beta: int) -> tuple[int, int] | None:
+    """Eliminate the leg of the fiber (alpha, beta) from its tip.
+
+    The leg is the chain ``build_plumbing`` hangs off the centre.  Its
+    pivots are the tree eliminator's integer pairs, each checked < 0; the
+    result is what the leg adds to the centre's pivot, num/den with
+    den > 0.  None means some leg pivot is >= 0, so no plumbing carrying
+    this leg is negative definite.
+    """
+    pivot = None
+    for c in reversed(_leg_chain(alpha, beta)):
+        pivot = (-c, 1) if pivot is None else _absorb((-c, 1), 1, pivot)
+        if pivot[0] >= 0:
+            return None
+    return _absorb((0, 1), 1, pivot)
+
+
+def star_negative_definite(fibers, bs, legs: dict) -> list[bool]:
+    """For each b in bs, whether the star plumbing of {b; g; fibers} is
+    negative definite (normalized fibers; the genus does not enter).
+
+    Every leg is eliminated once, through ``leg_contribution`` memoized in
+    ``legs`` by (alpha, beta); the legs' contributions are summed as one
+    integer pair num/den, after which each b costs only the centre pivot
+    e0 + num/den = (-b - r) + num/den.
+    """
+    r = len(fibers)
+    num, den = 0, 1
+    for fiber in fibers:
+        if fiber not in legs:
+            legs[fiber] = leg_contribution(*fiber)
+        leg = legs[fiber]
+        if leg is None:
+            return [False] * len(bs)
+        num, den = num * leg[1] + leg[0] * den, den * leg[1]
+    return [(-b - r) * den + num < 0 for b in bs]
 
 
 def _general_pivots_negative(rows) -> bool:
@@ -285,11 +294,9 @@ def is_negative_definite(matrix) -> bool:
     rows = _sparse_rows(matrix)
     if not rows:
         return True
-    verdict = _indexed_pivots_negative(rows)
-    if verdict is None:
-        verdict = _forest_pivots_negative(rows)
-        if verdict is None:  # coupling graph has a cycle
-            verdict = _general_pivots_negative(rows)
+    verdict = _forest_pivots_negative(rows)
+    if verdict is None:  # coupling graph has a cycle
+        verdict = _general_pivots_negative(rows)
     return verdict
 
 

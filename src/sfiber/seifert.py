@@ -42,7 +42,10 @@ def validate(data: SeifertData) -> None:
 
 
 def is_normalized(data: SeifertData) -> bool:
-    return all(a >= 2 and 0 < b < a for a, b in data.fibers)
+    for a, b in data.fibers:
+        if not 0 < b < a:  # alpha >= 2 follows
+            return False
+    return True
 
 
 def normalize(data: SeifertData) -> SeifertData:
@@ -69,10 +72,20 @@ def _require_normalized(data: SeifertData) -> None:
         raise InvalidSeifertError(f"expected normalized invariants, got {data}")
 
 
+def beta_sum(fibers) -> tuple[int, int]:
+    """sum(beta/alpha) as an integer pair (num, den), den the lcm of the alphas."""
+    num, den = 0, 1
+    for a, b in fibers:
+        common = gcd(den, a)
+        num, den = num * (a // common) + b * (den // common), den // common * a
+    return num, den
+
+
 def euler_number(data: SeifertData) -> Fraction:
-    """e(M) = -b - sum(beta/alpha)."""
+    """e(M) = -b - sum(beta/alpha), summed in integers and reduced once."""
     _require_normalized(data)
-    return -data.b - sum((Fraction(b, a) for a, b in data.fibers), Fraction(0))
+    num, den = beta_sum(data.fibers)
+    return Fraction(-data.b * den - num, den)
 
 
 def e_zero(data: SeifertData) -> int:

@@ -11,22 +11,25 @@ Three suites, all exact and deterministic:
 * definiteness: the star-shaped plumbing is negative definite exactly
   when e(M) < 0.
 
-Work is partitioned by index stride, so reports are independent of the
-worker count.
+One driver runs them all: it deals the items of an enumeration out to
+the workers by index stride, runs the suite's check on each, and merges
+the reports field by field, so reports are independent of the worker
+count.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from functools import partial
+from itertools import chain, combinations_with_replacement, islice
 from math import gcd
 
 from . import blowdown, realizability
 from .decide import admits_transverse_contact, admits_transverse_foliation
-from .plumbing import build_plumbing, intersection_matrix, is_negative_definite
-from .seifert import SeifertData, is_product_sphere, reverse_orientation
+from .plumbing import star_negative_definite
+from .seifert import SeifertData, beta_sum, is_product_sphere, reverse_orientation
 
 
 def gamma_values(max_denominator: int) -> tuple[Fraction, ...]:
@@ -56,11 +59,47 @@ def fibers_for_gammas(gammas) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _run_partitioned(worker, common_args, jobs: int):
-    if jobs <= 1:
-        return [worker((*common_args, 1, 0))]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, [(*common_args, jobs, k) for k in range(jobs)]))
+def _run_part(task):
+    """One worker's share: every jobs-th item of the enumeration from index on."""
+    report_type, items, check, jobs, index = task
+    report = report_type()
+    for item in islice(items(), index, None, jobs):
+        check(report, item)
+    return report
+
+
+def _sweep(report_type, items, check, jobs: int):
+    """Run check(report, item) over the enumeration items() on jobs workers.
+
+    ``items`` and ``check`` are pickled for each worker, so state a check
+    carries (such as a memo dict bound by ``partial``) is per worker.
+    Integer fields of the reports add; list fields extend and are sorted.
+    """
+    jobs = max(jobs, 1)
+    tasks = [(report_type, items, check, jobs, k) for k in range(jobs)]
+    if jobs == 1:
+        parts = [_run_part(tasks[0])]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(_run_part, tasks))
+    merged = report_type()
+    for f in fields(merged):
+        values = [getattr(part, f.name) for part in parts]
+        if isinstance(values[0], list):
+            setattr(merged, f.name, sorted(chain.from_iterable(values)))
+        else:
+            setattr(merged, f.name, sum(values))
+    return merged
+
+
+def _gamma_multisets(r: int, max_denominator: int):
+    return combinations_with_replacement(gamma_values(max_denominator), r)
+
+
+def _fiber_multisets(max_alpha: int, max_r: int):
+    pairs = fiber_pairs(max_alpha)
+    for r in range(max_r + 1):
+        yield from combinations_with_replacement(pairs, r)
 
 
 @dataclass
@@ -75,37 +114,22 @@ class RouteOracleReport:
         return not self.mismatches and not self.inconclusive
 
 
-def _route_oracle_worker(args) -> RouteOracleReport:
-    r, max_denominator, jobs, index = args
-    values = gamma_values(max_denominator)
-    report = RouteOracleReport()
-    for i, combo in enumerate(combinations_with_replacement(values, r)):
-        if i % jobs != index:
-            continue
-        report.examined += 1
-        cert = realizability.is_realizable(combo)
-        verdict = blowdown.decide_route(combo)
-        if cert is not None:
-            report.realizable += 1
-        if verdict.kind == "inconclusive":
-            report.inconclusive.append(combo)
-        elif (verdict.kind == "realizable") != (cert is not None):
-            report.mismatches.append(combo)
-    return report
+def _check_route_oracle(report: RouteOracleReport, combo) -> None:
+    report.examined += 1
+    cert = realizability.is_realizable(combo)
+    verdict = blowdown.decide_route(combo)
+    if cert is not None:
+        report.realizable += 1
+    if verdict.kind == "inconclusive":
+        report.inconclusive.append(combo)
+    elif (verdict.kind == "realizable") != (cert is not None):
+        report.mismatches.append(combo)
 
 
 def route_oracle_sweep(r: int, max_denominator: int, jobs: int = 1) -> RouteOracleReport:
     """Compare decide_route with is_realizable on every gamma multiset."""
-    parts = _run_partitioned(_route_oracle_worker, (r, max_denominator), jobs)
-    merged = RouteOracleReport()
-    for part in parts:
-        merged.examined += part.examined
-        merged.realizable += part.realizable
-        merged.mismatches.extend(part.mismatches)
-        merged.inconclusive.extend(part.inconclusive)
-    merged.mismatches.sort()
-    merged.inconclusive.sort()
-    return merged
+    return _sweep(RouteOracleReport, partial(_gamma_multisets, r, max_denominator),
+                  _check_route_oracle, jobs)
 
 
 @dataclass
@@ -117,12 +141,6 @@ class ConsistencyReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-def _fiber_multisets(max_alpha: int, max_r: int):
-    pairs = fiber_pairs(max_alpha)
-    for r in range(max_r + 1):
-        yield from combinations_with_replacement(pairs, r)
 
 
 def _check_consistency(data: SeifertData, e_negative: bool, report: "ConsistencyReport"):
@@ -142,57 +160,34 @@ def _check_consistency(data: SeifertData, e_negative: bool, report: "Consistency
         report.violations.append((data.b, data.g, data.fibers, "e<0-without-contact"))
 
 
-def _theorem_worker(args) -> ConsistencyReport:
-    gs, bs, max_alpha, max_r, jobs, index = args
-    report = ConsistencyReport()
-    for i, fibers in enumerate(_fiber_multisets(max_alpha, max_r)):
-        if i % jobs != index:
-            continue
-        beta_sum = sum((Fraction(b, a) for a, b in fibers), Fraction(0))
-        for g in gs:
-            for b in bs:
-                _check_consistency(SeifertData(b, g, fibers), -b - beta_sum < 0, report)
-    return report
+def _check_theorem(gs, bs, report: ConsistencyReport, fibers) -> None:
+    num, den = beta_sum(fibers)
+    for g in gs:
+        for b in bs:
+            # e(M) = -b - num/den < 0
+            _check_consistency(SeifertData(b, g, fibers), b * den > -num, report)
 
 
 def theorem_consistency_sweep(
     gs=(-2, -1, 0, 1, 2), bs=range(-3, 4), max_alpha: int = 9, max_r: int = 4, jobs: int = 1
 ) -> ConsistencyReport:
     """foliation => contact (both orientations) and e<0 => contact, exhaustively."""
-    parts = _run_partitioned(_theorem_worker, (tuple(gs), tuple(bs), max_alpha, max_r), jobs)
-    merged = ConsistencyReport()
-    for part in parts:
-        merged.examined += part.examined
-        merged.foliations += part.foliations
-        merged.violations.extend(part.violations)
-    merged.violations.sort()
-    return merged
+    return _sweep(ConsistencyReport, partial(_fiber_multisets, max_alpha, max_r),
+                  partial(_check_theorem, tuple(gs), tuple(bs)), jobs)
 
 
-def _derived_worker(args) -> ConsistencyReport:
-    r, max_denominator, jobs, index = args
-    report = ConsistencyReport()
-    for i, combo in enumerate(combinations_with_replacement(gamma_values(max_denominator), r)):
-        if i % jobs != index:
-            continue
-        fibers = fibers_for_gammas(combo)
-        beta_sum = sum((Fraction(b, a) for a, b in fibers), Fraction(0))
-        b = 1 - r  # makes the central weight e0 = -1
-        _check_consistency(SeifertData(b, 0, fibers), -b - beta_sum < 0, report)
-    return report
+def _check_derived(report: ConsistencyReport, combo) -> None:
+    fibers = fibers_for_gammas(combo)
+    num, den = beta_sum(fibers)
+    b = 1 - len(combo)  # makes the central weight e0 = -1
+    _check_consistency(SeifertData(b, 0, fibers), b * den > -num, report)
 
 
 def derived_consistency_sweep(r: int, max_denominator: int, jobs: int = 1) -> ConsistencyReport:
     """Run the foliation/contact implications on manifolds with e0 = -1
     realizing every gamma multiset in range."""
-    parts = _run_partitioned(_derived_worker, (r, max_denominator), jobs)
-    merged = ConsistencyReport()
-    for part in parts:
-        merged.examined += part.examined
-        merged.foliations += part.foliations
-        merged.violations.extend(part.violations)
-    merged.violations.sort()
-    return merged
+    return _sweep(ConsistencyReport, partial(_gamma_multisets, r, max_denominator),
+                  _check_derived, jobs)
 
 
 @dataclass
@@ -206,34 +201,21 @@ class DefinitenessReport:
         return not self.failures
 
 
-def _definiteness_worker(args) -> DefinitenessReport:
-    bs, max_alpha, max_r, jobs, index = args
-    report = DefinitenessReport()
-    for i, fibers in enumerate(_fiber_multisets(max_alpha, max_r)):
-        if i % jobs != index:
-            continue
-        beta_sum = sum((Fraction(b, a) for a, b in fibers), Fraction(0))
-        sn, sd = beta_sum.numerator, beta_sum.denominator
-        for b in bs:
-            report.examined += 1
-            data = SeifertData(b, 0, fibers)
-            nd = is_negative_definite(intersection_matrix(build_plumbing(data)))
-            if nd:
-                report.negative_definite += 1
-            if nd != (b * sd > -sn):  # e(M) = -b - beta_sum < 0
-                report.failures.append((b, fibers))
-    return report
+def _check_definiteness(bs, legs: dict, report: DefinitenessReport, fibers) -> None:
+    num, den = beta_sum(fibers)
+    verdicts = star_negative_definite(fibers, bs, legs)
+    e_negative = [b * den > -num for b in bs]  # e(M) = -b - num/den < 0
+    report.examined += len(verdicts)
+    report.negative_definite += sum(verdicts)
+    if verdicts != e_negative:
+        report.failures.extend((b, fibers) for b, nd, en in zip(bs, verdicts, e_negative) if nd != en)
 
 
 def definiteness_sweep(
     bs=range(-4, 5), max_alpha: int = 12, max_r: int = 4, jobs: int = 1
 ) -> DefinitenessReport:
-    """is_negative_definite(plumbing) must equal e(M) < 0 on the whole range."""
-    parts = _run_partitioned(_definiteness_worker, (tuple(bs), max_alpha, max_r), jobs)
-    merged = DefinitenessReport()
-    for part in parts:
-        merged.examined += part.examined
-        merged.negative_definite += part.negative_definite
-        merged.failures.extend(part.failures)
-    merged.failures.sort()
-    return merged
+    """The star plumbing must be negative definite exactly when e(M) < 0 on
+    the whole range.  Each worker eliminates every leg (alpha, beta) once."""
+    legs: dict = {}
+    return _sweep(DefinitenessReport, partial(_fiber_multisets, max_alpha, max_r),
+                  partial(_check_definiteness, tuple(bs), legs), jobs)

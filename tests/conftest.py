@@ -1,6 +1,7 @@
-"""Shared test references: a brute-force realizability search, the
-expanded-list forms of the route's run-length computations, and the
-staircase graphs of the triangle blow-down replays."""
+"""Shared test references: a brute-force realizability search, a
+Fraction-based minus-sign expansion, the expanded-list forms of the
+route's run-length computations, and the staircase graphs of the triangle
+blow-down replays."""
 
 from fractions import Fraction
 from math import gcd
@@ -33,6 +34,21 @@ def brute_force_certificate(gammas, max_inverse_gamma3=200):
                 return m, a, tuple(order)
         m += 1
     return None
+
+
+def neg_cf_expand_fraction(value):
+    """Minus-sign expansion of a rational > 1 by Fraction steps: take the
+    ceiling c, continue with 1/(c - rho)."""
+    rho = Fraction(value)
+    if rho <= 1:
+        raise ValueError(f"expansion requires a rational > 1, got {rho}")
+    coeffs = []
+    while True:
+        c = -((-rho.numerator) // rho.denominator)  # ceil
+        coeffs.append(c)
+        if rho == c:
+            return tuple(coeffs)
+        rho = 1 / (c - rho)
 
 
 def dual_closed_form(m_seq):

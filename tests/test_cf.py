@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from conftest import neg_cf_expand_fraction
 from sfiber.cf import (
     EQUAL,
     GREATER,
@@ -121,6 +122,38 @@ def test_roundtrip_duality_and_reversal_sweep():
             assert neg_cf_eval(cf) == value
             assert riemenschneider_dual(cf) == neg_cf_expand(dual(value))
             assert neg_cf_eval(reverse_cf(cf)).numerator == p
+
+
+def test_expand_matches_fraction_reference_exhaustive():
+    """The integer (p, q) recurrence gives the Fraction reference's tuple on
+    every reduced p/q with q < p < 300."""
+    checked = 0
+    for p in range(2, 300):
+        for q in range(1, p):
+            value = Fraction(p, q)
+            if value.numerator != p:
+                continue
+            assert neg_cf_expand(value) == neg_cf_expand_fraction(value), value
+            checked += 1
+    assert checked == 27317
+
+
+def _partial_quotient_sum(value):
+    """Sum of the regular partial quotients of p/q, a bound on the length of
+    the minus-sign expansion."""
+    p, q, total = value.numerator, value.denominator, 0
+    while q:
+        a, rem = divmod(p, q)
+        total, p, q = total + a, q, rem
+    return total
+
+
+@given(st.integers(1, 10 ** 6).flatmap(
+    lambda q: st.integers(q + 1, 10 ** 7).map(lambda p: Fraction(p, q))))
+@settings(max_examples=200)
+def test_expand_matches_fraction_reference_large(value):
+    assume(_partial_quotient_sum(value) <= 5_000)  # keeps the reference quick
+    assert neg_cf_expand(value) == neg_cf_expand_fraction(value)
 
 
 @given(rationals_gt1)

@@ -15,8 +15,16 @@ from sfiber.decide import (
     circle_bundle_contact,
     circle_bundle_foliation,
 )
-from sfiber.realizability import verify_certificate
-from sfiber.seifert import SeifertData, euler_number, gamma_vector, normalize, reverse_orientation
+from sfiber.realizability import is_realizable, verify_certificate
+from sfiber.seifert import (
+    SeifertData,
+    e_zero,
+    euler_char_base,
+    euler_number,
+    gamma_vector,
+    normalize,
+    reverse_orientation,
+)
 from sfiber.sweeps import fiber_pairs, theorem_consistency_sweep
 
 POINCARE = SeifertData(-1, 0, ((2, 1), (3, 1), (5, 1)))
@@ -133,6 +141,46 @@ def test_foliation_orientation_symmetric():
                     m = SeifertData(b, g, fibers)
                     assert (admits_transverse_foliation(m).answer
                             == admits_transverse_foliation(reverse_orientation(m)).answer)
+
+
+def _foliation_case_reference(data):
+    """The foliation clauses read off M and an eagerly built -M."""
+    m = normalize(data)
+    rev = reverse_orientation(m)
+    e, e0, e0_rev, chi = euler_number(m), e_zero(m), e_zero(rev), euler_char_base(m.g)
+    if e0 <= -chi and e0_rev <= -chi:
+        return "Fol-a"
+    if m.g == 0 and e == 0:
+        return "Fol-b"
+    if m.g == 0 and e0 == -1 and len(m.fibers) >= 3 and is_realizable(gamma_vector(m)):
+        return "Fol-c"
+    if m.g == 0 and e0_rev == -1 and len(m.fibers) >= 3 and is_realizable(gamma_vector(rev)):
+        return "Fol-d"
+    return None
+
+
+def test_foliation_evidence_and_lazy_reverse(monkeypatch):
+    """e0(-M) is read off M as -e0(M) - r; -M is built only on reaching
+    Fol-d, which fires exactly where the eager reading fires it."""
+    reached_d = []
+    monkeypatch.setattr(decide, "reverse_orientation",
+                        lambda m: reached_d.append(m) or reverse_orientation(m))
+    cases = {}
+    for r in range(4):
+        for fibers in combinations_with_replacement(fiber_pairs(5), r):
+            for g in (-1, 0, 1):
+                for b in range(-4, 3):
+                    data = SeifertData(b, g, fibers)
+                    reached_d.clear()
+                    decision = admits_transverse_foliation(data)
+                    expected = _foliation_case_reference(data)
+                    assert decision.fired_case == expected, data
+                    assert decision.evidence["e0_rev"] == e_zero(reverse_orientation(normalize(data)))
+                    enters_d = (expected in ("Fol-d", None) and g == 0
+                                and decision.evidence["e0_rev"] == -1)
+                    assert len(reached_d) == enters_d, data
+                    cases[expected] = cases.get(expected, 0) + 1
+    assert cases["Fol-d"] > 0 and cases["Fol-c"] > 0 and cases[None] > 0
 
 
 def test_fired_case_iff_answer():

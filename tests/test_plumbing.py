@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from sfiber import plumbing
 from sfiber.plumbing import (
     PlumbingGraph,
     SurfaceClass,
@@ -16,6 +17,8 @@ from sfiber.plumbing import (
     intersection_matrix,
     is_negative_definite,
     leading_principal_minors,
+    leg_contribution,
+    star_negative_definite,
     to_dot,
 )
 from sfiber.seifert import InvalidSeifertError, SeifertData, euler_number
@@ -235,6 +238,43 @@ def test_negative_definite_iff_negative_euler_small_sweep():
                 data = SeifertData(b, 0, fibers)
                 nd = is_negative_definite(intersection_matrix(build_plumbing(data)))
                 assert nd == (euler_number(data) < 0), data
+
+
+def test_leg_contribution_is_gamma():
+    """Eliminating the leg of (alpha, beta) from its tip adds
+    1 - beta/alpha to the centre pivot, in lowest terms."""
+    for alpha, beta in fiber_pairs(40):
+        assert leg_contribution(alpha, beta) == (alpha - beta, alpha)
+
+
+def test_star_negative_definite_matches_elimination_and_euler():
+    """Leg-once elimination with one centre pivot per b agrees with the
+    full elimination of the plumbing's matrix and with e(M) < 0 on every
+    cell with alpha <= 7, r <= 3 and b in -4..4."""
+    bs = range(-4, 5)
+    legs = {}
+    cells = 0
+    for r in range(4):
+        for fibers in combinations_with_replacement(fiber_pairs(7), r):
+            for b, nd in zip(bs, star_negative_definite(fibers, bs, legs)):
+                data = SeifertData(b, 0, fibers)
+                assert nd == is_negative_definite(intersection_matrix(build_plumbing(data))), data
+                assert nd == (euler_number(data) < 0), data
+                cells += 1
+    assert cells == 9 * 1140
+    assert set(legs) == set(fiber_pairs(7))
+
+
+def test_star_negative_definite_refuted_by_a_leg_pivot(monkeypatch):
+    """A leg whose elimination meets a pivot >= 0 refutes definiteness for
+    every b, as the full elimination does."""
+    monkeypatch.setattr(plumbing, "_leg_chain", lambda alpha, beta: (1, 1))
+    monkeypatch.setattr(plumbing, "_leg_classes", lambda alpha, beta: (SurfaceClass(-1, 0),) * 2)
+    assert leg_contribution(3, 1) is None
+    fibers = ((2, 1), (3, 1))
+    assert star_negative_definite(fibers, range(-9, 2), {}) == [False] * 11
+    for b in (-9, 0):
+        assert not is_negative_definite(intersection_matrix(build_plumbing(SeifertData(b, 0, fibers))))
 
 
 def test_to_dot_shape():

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sfiber.seifert import (
     InvalidSeifertError,
@@ -53,6 +54,16 @@ def test_normalize_rejects_bad_pairs():
         normalize(SeifertData(0, 0, ((-2, 1),)))
     with pytest.raises(InvalidSeifertError):
         normalize(SeifertData(0, 0, ((2, 2),)))
+
+
+fiber_pair = st.integers(2, 10 ** 6).flatmap(
+    lambda a: st.integers(1, a - 1).filter(lambda b: gcd(a, b) == 1).map(lambda b: (a, b)))
+
+
+@given(st.integers(-10 ** 6, 10 ** 6), st.lists(fiber_pair, max_size=6))
+def test_euler_number_equals_fraction_sum(b, fibers):
+    data = SeifertData(b, 0, tuple(fibers))
+    assert euler_number(data) == -b - sum((Fraction(beta, a) for a, beta in fibers), Fraction(0))
 
 
 def test_normalize_preserves_euler_number_randomized():
