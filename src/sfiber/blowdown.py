@@ -156,11 +156,6 @@ def run_trace(inp: IterationInput) -> list[BlowdownState]:
     return states
 
 
-def d_bound_check(trace, d: int) -> bool:
-    """d > p_i + q_i at every stage; by the invariant this is 2g_i - 2 - x_i >= 0."""
-    return all(d > s.p + s.q for s in trace)
-
-
 def _eval_runs(runs) -> tuple[int, int]:
     """(numerator, denominator) of the expansion with run-length form
     (k0, c1, k1, c2, ...): runs of 2s at even positions, singles at odd.

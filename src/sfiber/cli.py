@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -286,10 +285,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _default_jobs() -> int:
-    return int(os.environ.get("SFIBER_JOBS", "1"))
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sfiber",
@@ -327,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="route-vs-oracle and foliation=>contact consistency suites")
     p.add_argument("--r", type=int, required=True, help="number of gamma entries")
     p.add_argument("--max-denominator", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

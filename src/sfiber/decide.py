@@ -64,16 +64,14 @@ def _oracle_with_shadow(gammas: tuple) -> RealizabilityCertificate | None:
     return cert
 
 
-def _realizable(data: SeifertData, *, shadow: bool) -> RealizabilityCertificate | None:
+def _realizable(data: SeifertData) -> RealizabilityCertificate | None:
     gammas = gamma_vector(data)
     if len(gammas) < 3:
         return None
-    if shadow:
-        return _oracle_with_shadow(gammas)
-    return realizability.is_realizable(gammas)
+    return _oracle_with_shadow(gammas)
 
 
-def admits_transverse_contact(data: SeifertData, *, shadow: bool = True) -> Decision:
+def admits_transverse_contact(data: SeifertData) -> Decision:
     """Decide existence of a positive transverse contact structure."""
     m = normalize(data)
     e, e0, chi = euler_number(m), e_zero(m), euler_char_base(m.g)
@@ -84,13 +82,13 @@ def admits_transverse_contact(data: SeifertData, *, shadow: bool = True) -> Deci
     if m.g == 0 and r <= 2 and e < 0:
         return Decision(True, "Main-b", evidence)
     if m.g == 0 and e0 == -1:
-        cert = _realizable(m, shadow=shadow)
+        cert = _realizable(m)
         if cert is not None:
             return Decision(True, "Main-c", {**evidence, "certificate": cert})
     return Decision(False, None, evidence)
 
 
-def admits_transverse_foliation(data: SeifertData, *, shadow: bool = True) -> Decision:
+def admits_transverse_foliation(data: SeifertData) -> Decision:
     """Decide existence of a smooth foliation transverse to the fibration."""
     m = normalize(data)
     e, e0 = euler_number(m), e_zero(m)
@@ -102,11 +100,11 @@ def admits_transverse_foliation(data: SeifertData, *, shadow: bool = True) -> De
     if m.g == 0 and e == 0:
         return Decision(True, "Fol-b", evidence)
     if m.g == 0 and e0 == -1:
-        cert = _realizable(m, shadow=shadow)
+        cert = _realizable(m)
         if cert is not None:
             return Decision(True, "Fol-c", {**evidence, "certificate": cert})
     if m.g == 0 and e0_rev == -1:
-        cert = _realizable(reverse_orientation(m), shadow=shadow)
+        cert = _realizable(reverse_orientation(m))
         if cert is not None:
             return Decision(True, "Fol-d", {**evidence, "certificate": cert})
     return Decision(False, None, evidence)
@@ -120,15 +118,3 @@ def admits_invariant_transverse_contact(data: SeifertData) -> Decision:
     if e < 0:
         return Decision(True, "e<0", evidence)
     return Decision(False, None, evidence)
-
-
-def circle_bundle_contact(e: int, g: int) -> bool:
-    """Transverse contact criterion for a genuine circle bundle with Euler number e."""
-    chi = euler_char_base(g)
-    return (chi <= 0 and e <= -chi) or (chi > 0 and e < 0)
-
-
-def circle_bundle_foliation(e: int, g: int) -> bool:
-    """Transverse foliation criterion for a genuine circle bundle with Euler number e."""
-    chi = euler_char_base(g)
-    return (chi <= 0 and abs(e) <= -chi) or (chi >= 0 and e == 0)

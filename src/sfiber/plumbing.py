@@ -1,21 +1,19 @@
-"""Decorated plumbing graphs, blow-downs and the intersection form.
+"""Decorated plumbing graphs and the intersection form.
 
 Vertices represent embedded surfaces (self-intersection, genus), edges
 carry geometric intersection multiplicities.  A Seifert manifold with
 orientable base bounds the star-shaped plumbing whose central vertex has
 weight e0(M) and genus g and whose legs are the minus-sign expansions of
-alpha/(alpha-beta), one chain per exceptional fiber.
+alpha/(alpha-beta), one chain per exceptional fiber.  Graphs are treated
+as immutable values.
 
-Blowing down a (-1)-sphere v adds p^2 to the self-intersection and
-binom(p,2) to the genus of a neighbor met p times (double points are
-smoothed immediately), and adds p*q to the multiplicity between
-neighbors met p and q times.  Graphs are treated as immutable values:
-every operation returns a fresh graph.
-
-Negative definiteness is decided by exact elimination, children before
-parents on trees with integer-pair pivots.  On a star every leg is
-eliminated once and its contribution to the centre reused for every
-central weight.
+Negative definiteness of a matrix is decided by exact symmetric
+elimination, highest id first; on the stars built here that eliminates
+every leg from its tip, so no fill appears.  The sweeps take a shorter
+path: every leg is eliminated once with integer-pair pivots and its
+contribution to the centre reused for every central weight.  Blow-downs,
+determinants and leading principal minors are test references
+(``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
 from .cf import neg_cf_expand
 from .seifert import SeifertData, InvalidSeifertError, is_normalized
@@ -55,13 +52,6 @@ class PlumbingGraph:
         return out
 
 
-def _edge_key(u: int, v: int) -> tuple[int, int]:
-    if u == v:
-        raise ValueError("self-loops are not allowed")
-    return (u, v) if u < v else (v, u)
-
-
-@lru_cache(maxsize=None)
 def _leg_chain(alpha: int, beta: int) -> tuple[int, ...]:
     return neg_cf_expand(Fraction(alpha, alpha - beta))
 
@@ -103,50 +93,6 @@ def adjunction_ok(surface: SurfaceClass) -> bool:
     return surface.selfint <= 2 * surface.genus - 2
 
 
-def blow_down(graph: PlumbingGraph, v: int) -> PlumbingGraph:
-    """Remove a (-1)-sphere, pushing its intersections onto the neighbors."""
-    cls = graph.vertices.get(v)
-    if cls is None:
-        raise ValueError(f"no vertex {v}")
-    if cls.selfint != -1 or cls.genus != 0:
-        raise ValueError(f"vertex {v} is not a (-1)-sphere: {cls}")
-    incident = graph.neighbors(v)
-    vertices = {}
-    for u, c in graph.vertices.items():
-        if u == v:
-            continue
-        if u in incident:
-            p = incident[u]
-            c = SurfaceClass(c.selfint + p * p, c.genus + comb(p, 2))
-        vertices[u] = c
-    edges = {k: m for k, m in graph.edges.items() if v not in k}
-    nbrs = sorted(incident)
-    for i, a in enumerate(nbrs):
-        for b in nbrs[i + 1:]:
-            key = _edge_key(a, b)
-            edges[key] = edges.get(key, 0) + incident[a] * incident[b]
-    return PlumbingGraph(vertices, edges)
-
-
-def fully_blow_down(graph: PlumbingGraph):
-    """Blow down (-1)-spheres (smallest id first) as far as possible.
-
-    Stops early if any vertex class violates the adjunction bound and
-    returns (terminal graph, first violating class or None).
-    """
-    while True:
-        violating = [v for v in sorted(graph.vertices) if not adjunction_ok(graph.vertices[v])]
-        if violating:
-            return graph, graph.vertices[violating[0]]
-        blowable = [
-            v for v in sorted(graph.vertices)
-            if graph.vertices[v] == SurfaceClass(-1, 0)
-        ]
-        if not blowable:
-            return graph, None
-        graph = blow_down(graph, blowable[0])
-
-
 def intersection_matrix(graph: PlumbingGraph) -> list[list[int]]:
     """Symmetric matrix: diagonal self-intersections, off-diagonal multiplicities."""
     ids = sorted(graph.vertices)
@@ -182,55 +128,14 @@ def _absorb(pivot, w, child):
     return w * w * cd * den - num * cn, -den * cn
 
 
-def _forest_pivots_negative(rows):
-    """Exact tree elimination: every pivot d_v = a_v - sum w^2/d_child < 0.
-
-    Pivots are integer pairs (num, den), den > 0; children are eliminated
-    before parents, so no fill ever appears.  Returns None when a cycle is
-    discovered, signalling the caller to fall back to general elimination.
-    """
-    n = len(rows)
-    seen = [False] * n
-    for root in range(n):
-        if seen[root]:
-            continue
-        order = []
-        parent = {root: None}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            if seen[v]:
-                return None  # cycle
-            seen[v] = True
-            order.append(v)
-            pv = parent[v]
-            for u in rows[v]:
-                if u == v or u == pv:
-                    continue
-                if u in parent:
-                    return None  # cycle
-                parent[u] = v
-                stack.append(u)
-        ratio: dict[int, tuple[int, int]] = {}
-        for v in reversed(order):  # children first
-            pivot = (rows[v].get(v, 0), 1)
-            for u, w in rows[v].items():
-                if u != v and parent.get(u) == v:
-                    pivot = _absorb(pivot, w, ratio[u])
-            if pivot[0] >= 0:
-                return False
-            ratio[v] = pivot
-    return True
-
-
 def leg_contribution(alpha: int, beta: int) -> tuple[int, int] | None:
     """Eliminate the leg of the fiber (alpha, beta) from its tip.
 
     The leg is the chain ``build_plumbing`` hangs off the centre.  Its
-    pivots are the tree eliminator's integer pairs, each checked < 0; the
-    result is what the leg adds to the centre's pivot, num/den with
-    den > 0.  None means some leg pivot is >= 0, so no plumbing carrying
-    this leg is negative definite.
+    pivots are integer pairs (``_absorb``), each checked < 0; the result
+    is what the leg adds to the centre's pivot, num/den with den > 0.
+    None means some leg pivot is >= 0, so no plumbing carrying this leg is
+    negative definite.
     """
     pivot = None
     for c in reversed(_leg_chain(alpha, beta)):
@@ -291,43 +196,7 @@ def is_negative_definite(matrix) -> bool:
     nonnegative pivot in any symmetric elimination order refutes
     definiteness).
     """
-    rows = _sparse_rows(matrix)
-    if not rows:
-        return True
-    verdict = _forest_pivots_negative(rows)
-    if verdict is None:  # coupling graph has a cycle
-        verdict = _general_pivots_negative(rows)
-    return verdict
-
-
-def determinant(matrix) -> int:
-    """Integer determinant via fraction-free (Bareiss) elimination."""
-    n = len(matrix)
-    a = [list(row) for row in matrix]
-    for row in a:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1] if n else 1
-
-
-def leading_principal_minors(matrix) -> list[int]:
-    """Determinants of the top-left k x k blocks, k = 1..n."""
-    return [determinant([row[:k] for row in matrix[:k]]) for k in range(1, len(matrix) + 1)]
+    return _general_pivots_negative(_sparse_rows(matrix))
 
 
 def to_dot(graph: PlumbingGraph) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
 
 class InvalidSeifertError(ValueError):
@@ -127,13 +127,6 @@ def orientation_double_cover(data: SeifertData) -> SeifertData:
         raise InvalidSeifertError("double cover applies only to non-orientable bases (g < 0)")
     doubled = tuple(f for f in data.fibers for _ in range(2))
     return SeifertData(2 * data.b, -1 - data.g, doubled)
-
-
-def cyclic_quotient_euler(data: SeifertData) -> Fraction:
-    """Euler number of the quotient circle bundle: (prod alpha_i) * e(M)."""
-    _require_normalized(data)
-    a = prod(alpha for alpha, _ in data.fibers)
-    return a * euler_number(data)
 
 
 def is_product_sphere(data: SeifertData) -> bool:

@@ -1,12 +1,15 @@
 """Shared test references: a brute-force realizability search, a
-Fraction-based minus-sign expansion, the expanded-list forms of the
+Fraction-based minus-sign expansion, plus-sign evaluation, the arithmetic
+dual and the value order of expansions, blow-downs and determinants of
+plumbings, the circle-bundle criteria, the expanded-list forms of the
 route's run-length computations, and the staircase graphs of the triangle
 blow-down replays."""
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd, prod
 
-from sfiber.plumbing import PlumbingGraph, SurfaceClass, blow_down
+from sfiber.plumbing import PlumbingGraph, SurfaceClass, adjunction_ok
+from sfiber.seifert import euler_char_base, euler_number
 
 
 def brute_force_certificate(gammas, max_inverse_gamma3=200):
@@ -49,6 +52,164 @@ def neg_cf_expand_fraction(value):
         if rho == c:
             return tuple(coeffs)
         rho = 1 / (c - rho)
+
+
+def pos_cf_eval(coeffs):
+    """Evaluate a plus-sign continued fraction c1 + 1/(c2 + 1/(...)).
+
+    Coefficients may be arbitrary integers; a tail that evaluates to zero
+    makes the next step undefined and raises ValueError.
+    """
+    if not coeffs:
+        raise ValueError("empty coefficient sequence")
+    value = Fraction(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        if value == 0:
+            raise ValueError(f"zero intermediate denominator in {tuple(coeffs)}")
+        value = c + 1 / value
+    return value
+
+
+def dual(value):
+    """Return the unique r' > 1 with 1/r + 1/r' = 1, i.e. r/(r-1).
+
+    The map is an involution fixing 2 and exchanging (1,2) with (2,oo),
+    reversing the usual order.
+    """
+    rho = Fraction(value)
+    if rho <= 1:
+        raise ValueError(f"dual requires a rational > 1, got {rho}")
+    return rho / (rho - 1)
+
+
+def reverse_cf(coeffs):
+    """Reverse a coefficient sequence; the value's numerator is preserved."""
+    return tuple(reversed(coeffs))
+
+
+LESS, EQUAL, GREATER = -1, 0, 1
+
+
+def lex_compare(s, t):
+    """Three-way comparison in the order matching continued-fraction values.
+
+    The first differing entry decides; when one sequence is a strict prefix
+    of the other, the prefix is the *greater* one (dropping trailing terms
+    increases the value).
+    """
+    for a, b in zip(s, t):
+        if a != b:
+            return LESS if a < b else GREATER
+    if len(s) == len(t):
+        return EQUAL
+    return LESS if len(s) > len(t) else GREATER
+
+
+def _edge_key(u, v):
+    if u == v:
+        raise ValueError("self-loops are not allowed")
+    return (u, v) if u < v else (v, u)
+
+
+def blow_down(graph, v):
+    """Remove a (-1)-sphere, pushing its intersections onto the neighbors.
+
+    A neighbor met p times gains p^2 in self-intersection and binom(p,2)
+    in genus (double points are smoothed immediately); neighbors met p and
+    q times gain p*q in multiplicity.  Returns a fresh graph.
+    """
+    cls = graph.vertices.get(v)
+    if cls is None:
+        raise ValueError(f"no vertex {v}")
+    if cls.selfint != -1 or cls.genus != 0:
+        raise ValueError(f"vertex {v} is not a (-1)-sphere: {cls}")
+    incident = graph.neighbors(v)
+    vertices = {}
+    for u, c in graph.vertices.items():
+        if u == v:
+            continue
+        if u in incident:
+            p = incident[u]
+            c = SurfaceClass(c.selfint + p * p, c.genus + comb(p, 2))
+        vertices[u] = c
+    edges = {k: m for k, m in graph.edges.items() if v not in k}
+    nbrs = sorted(incident)
+    for i, a in enumerate(nbrs):
+        for b in nbrs[i + 1:]:
+            key = _edge_key(a, b)
+            edges[key] = edges.get(key, 0) + incident[a] * incident[b]
+    return PlumbingGraph(vertices, edges)
+
+
+def fully_blow_down(graph):
+    """Blow down (-1)-spheres (smallest id first) as far as possible.
+
+    Stops early if any vertex class violates the adjunction bound and
+    returns (terminal graph, first violating class or None).
+    """
+    while True:
+        violating = [v for v in sorted(graph.vertices) if not adjunction_ok(graph.vertices[v])]
+        if violating:
+            return graph, graph.vertices[violating[0]]
+        blowable = [
+            v for v in sorted(graph.vertices)
+            if graph.vertices[v] == SurfaceClass(-1, 0)
+        ]
+        if not blowable:
+            return graph, None
+        graph = blow_down(graph, blowable[0])
+
+
+def determinant(matrix):
+    """Integer determinant via fraction-free (Bareiss) elimination."""
+    n = len(matrix)
+    a = [list(row) for row in matrix]
+    for row in a:
+        if len(row) != n:
+            raise ValueError("matrix is not square")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def leading_principal_minors(matrix):
+    """Determinants of the top-left k x k blocks, k = 1..n."""
+    return [determinant([row[:k] for row in matrix[:k]]) for k in range(1, len(matrix) + 1)]
+
+
+def cyclic_quotient_euler(data):
+    """Euler number of the quotient circle bundle: (prod alpha_i) * e(M)."""
+    return prod(alpha for alpha, _ in data.fibers) * euler_number(data)
+
+
+def circle_bundle_contact(e, g):
+    """Transverse contact criterion for a genuine circle bundle with Euler number e."""
+    chi = euler_char_base(g)
+    return (chi <= 0 and e <= -chi) or (chi > 0 and e < 0)
+
+
+def circle_bundle_foliation(e, g):
+    """Transverse foliation criterion for a genuine circle bundle with Euler number e."""
+    chi = euler_char_base(g)
+    return (chi <= 0 and abs(e) <= -chi) or (chi >= 0 and e == 0)
+
+
+def d_bound_check(trace, d):
+    """d > p_i + q_i at every stage; by the invariant this is 2g_i - 2 - x_i >= 0."""
+    return all(d > s.p + s.q for s in trace)
 
 
 def dual_closed_form(m_seq):

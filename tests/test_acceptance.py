@@ -11,21 +11,11 @@ from math import comb, gcd
 
 import pytest
 
-from conftest import replay_blowdowns
+from conftest import circle_bundle_contact, circle_bundle_foliation, lex_compare, replay_blowdowns
 from sfiber.blowdown import IterationInput, run_trace
-from sfiber.cf import (
-    lex_compare,
-    neg_cf_eval,
-    neg_cf_expand,
-    riemenschneider_dual,
-)
+from sfiber.cf import neg_cf_eval, neg_cf_expand, riemenschneider_dual
 from sfiber.cli import main as cli_main
-from sfiber.decide import (
-    admits_transverse_contact,
-    admits_transverse_foliation,
-    circle_bundle_contact,
-    circle_bundle_foliation,
-)
+from sfiber.decide import admits_transverse_contact, admits_transverse_foliation
 from sfiber.plumbing import SurfaceClass
 from sfiber.realizability import is_realizable
 from sfiber.seifert import SeifertData, gamma_vector, normalize, reverse_orientation

@@ -8,24 +8,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    blow_down,
     cf_single_led,
     cf_two_led,
+    d_bound_check,
     dual_closed_form,
+    lex_compare,
     replay_blowdowns,
+    reverse_cf,
     rho_from_m_prefix_cf,
     rho_from_n_prefix_cf,
 )
 from sfiber.blowdown import (
     BlowdownState,
     IterationInput,
-    d_bound_check,
     decide_route,
     parse_delta_sequences,
     run_trace,
     _rho_from_m_prefix,
     _rho_from_n_prefix,
 )
-from sfiber.cf import lex_compare, neg_cf_eval, neg_cf_expand, reverse_cf, riemenschneider_dual
+from sfiber.cf import neg_cf_eval, neg_cf_expand, riemenschneider_dual
 from sfiber.realizability import is_realizable, verify_certificate
 from sfiber.sweeps import route_oracle_sweep
 
@@ -265,7 +268,6 @@ def test_local_conservation_under_each_blowdown():
     vertex is the last of its leg (its pairing survives only as the formal
     p/q bookkeeping), so those final blows are asserted with the deficit
     instead."""
-    from sfiber.plumbing import blow_down
     from conftest import staircase_graph
 
     for n_seq, m_seq, d in [((1, 4, 0), (4, 1, 3, 0), 7), ((0, 3, 2), (3, 2), 5)]:

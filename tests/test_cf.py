@@ -6,20 +6,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import neg_cf_expand_fraction
-from sfiber.cf import (
+from conftest import (
     EQUAL,
     GREATER,
     LESS,
-    PointDiagram,
     dual,
     lex_compare,
-    neg_cf_eval,
-    neg_cf_expand,
+    neg_cf_expand_fraction,
     pos_cf_eval,
     reverse_cf,
-    riemenschneider_dual,
 )
+from sfiber.cf import PointDiagram, neg_cf_eval, neg_cf_expand, riemenschneider_dual
 
 
 rationals_gt1 = st.tuples(st.integers(2, 400), st.integers(1, 399)).filter(

@@ -253,3 +253,20 @@ def test_decide_contact_large_unrealizable_families(family, n):
     assert result.returncode == 0, result.stderr
     payload = json.loads(result.stdout)
     assert payload["answer"] is False and payload["evidence"]["e0"] == -1
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize("script, args, header", [
+    ("decision_table.py", ["--max-alpha", "3", "--max-r", "1", "--max-b", "1"],
+     "seifert,e,e0,contact,contact_case,foliation,foliation_case,invariant_contact"),
+    ("route_case_census.py", ["--r", "3", "--max-denominator", "5"],
+     "165 gamma multisets (r=3, denominators <= 5)"),
+])
+def test_scripts_run(script, args, header):
+    """The scripts import from the library: each runs to exit 0 and prints
+    its header line."""
+    result = _fresh_python([str(SCRIPTS / script), *args], timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0] == header

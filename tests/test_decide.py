@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from conftest import circle_bundle_contact, circle_bundle_foliation
 from sfiber import blowdown, decide
 from sfiber.blowdown import RouteVerdict
 from sfiber.decide import (
@@ -12,8 +13,6 @@ from sfiber.decide import (
     admits_invariant_transverse_contact,
     admits_transverse_contact,
     admits_transverse_foliation,
-    circle_bundle_contact,
-    circle_bundle_foliation,
 )
 from sfiber.realizability import is_realizable, verify_certificate
 from sfiber.seifert import (
@@ -200,18 +199,30 @@ def test_small_consistency_sweep():
     assert report.foliations > 0
 
 
-def test_shadow_disagreement_is_surfaced(monkeypatch):
+@pytest.mark.parametrize("decider, reverse", [
+    pytest.param(admits_transverse_contact, False, id="Main-c"),
+    pytest.param(admits_transverse_foliation, False, id="Fol-c"),
+    pytest.param(admits_transverse_foliation, True, id="Fol-d"),
+])
+def test_shadow_disagreement_is_surfaced(monkeypatch, decider, reverse):
+    """Each consult site runs the route beside the oracle: a route that
+    claims a certificate the oracle does not find raises ConsistencyError."""
     gammas = (Fraction(30, 31), Fraction(1, 29), Fraction(1, 31))  # unlikely cached
+    consulted = []
 
-    def lying_route(_):
+    def lying_route(route_gammas):
+        consulted.append(route_gammas)
         return RouteVerdict("realizable", case_tag="even-k", certificate=None)
 
     decide._oracle_with_shadow.cache_clear()
     monkeypatch.setattr(blowdown, "decide_route", lying_route)
     data = SeifertData(-2, 0, tuple(
-        (g.denominator, g.denominator - g.numerator) for g in gammas))
+        (g.denominator, g.denominator - g.numerator) for g in gammas))  # e0 = -1
+    if reverse:
+        data = reverse_orientation(data)  # e0 = -2 and e0(-M) = -1: only Fol-d consults
     with pytest.raises(ConsistencyError):
-        admits_transverse_contact(data)
+        decider(data)
+    assert consulted == [gammas]
     decide._oracle_with_shadow.cache_clear()
 
 

@@ -5,18 +5,15 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from conftest import blow_down, determinant, fully_blow_down, leading_principal_minors
 from sfiber import plumbing
 from sfiber.plumbing import (
     PlumbingGraph,
     SurfaceClass,
     adjunction_ok,
-    blow_down,
     build_plumbing,
-    determinant,
-    fully_blow_down,
     intersection_matrix,
     is_negative_definite,
-    leading_principal_minors,
     leg_contribution,
     star_negative_definite,
     to_dot,
@@ -177,8 +174,8 @@ def test_is_negative_definite_cycles_and_bigints():
 
 
 def test_is_negative_definite_non_index_ordered_forest():
-    # vertex 2 has two lower-indexed neighbors, so elimination cannot walk
-    # the index order and falls back to the tree traversal
+    # vertex 2 has two lower-indexed neighbors, so eliminating it first
+    # (highest id first) couples vertices 0 and 1: the V shape fills in
     v_shape = [[-2, 0, 1], [0, -2, 1], [1, 1, -2]]
     assert leading_principal_minors(v_shape) == [-2, 4, -4]
     assert is_negative_definite(v_shape)

@@ -7,10 +7,10 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import cyclic_quotient_euler
 from sfiber.seifert import (
     InvalidSeifertError,
     SeifertData,
-    cyclic_quotient_euler,
     e_zero,
     euler_char_base,
     euler_number,
