@@ -7,6 +7,7 @@ Example:
 
 import argparse
 import csv
+import os
 import sys
 from itertools import combinations_with_replacement
 
@@ -20,17 +21,10 @@ from sfiber.seifert import SeifertData, e_zero, euler_number
 from sfiber.sweeps import fiber_pairs
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-alpha", type=int, default=5)
-    parser.add_argument("--max-r", type=int, default=2)
-    parser.add_argument("--max-b", type=int, default=2)
-    parser.add_argument("--genus", type=int, nargs="*", default=[-1, 0, 1])
-    args = parser.parse_args()
-
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["seifert", "e", "e0", "contact", "contact_case",
-                     "foliation", "foliation_case", "invariant_contact"])
+def _rows(args):
+    """The header, then one row per (fibers, g, b) cell."""
+    yield ["seifert", "e", "e0", "contact", "contact_case",
+           "foliation", "foliation_case", "invariant_contact"]
     pairs = fiber_pairs(args.max_alpha)
     for r in range(args.max_r + 1):
         for fibers in combinations_with_replacement(pairs, r):
@@ -40,7 +34,7 @@ def main() -> int:
                     contact = admits_transverse_contact(data)
                     foliation = admits_transverse_foliation(data)
                     invariant = admits_invariant_transverse_contact(data)
-                    writer.writerow([
+                    yield [
                         seifert_to_text(data),
                         str(euler_number(data)),
                         e_zero(data),
@@ -49,9 +43,25 @@ def main() -> int:
                         foliation.answer,
                         foliation.fired_case or "",
                         invariant.answer,
-                    ])
-    return 0
+                    ]
 
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--max-alpha", type=int, default=5)
+    parser.add_argument("--max-r", type=int, default=2)
+    parser.add_argument("--max-b", type=int, default=2)
+    parser.add_argument("--genus", type=int, nargs="*", default=[-1, 0, 1])
+    args = parser.parse_args()
+
+    try:
+        csv.writer(sys.stdout).writerows(_rows(args))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early (e.g. `| head`).  Point stdout at devnull
+        # so that the flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 0
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -18,7 +18,9 @@ is invariant under the iteration.  The route reports an obstruction when
 a surface with nonnegative square (or square exceeding 2*genus - 2)
 appears, and otherwise extracts a realizability certificate from a prefix
 of one of the two expansions.  Certificates are always re-validated
-against the defining inequalities before being reported.
+against the defining inequalities before being reported.  The sequences
+are read off ``cf``'s run-length forms, and ``cf`` evaluates and dualizes
+the prefixes that the certificates come from.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from .cf import dual_runs, eval_runs, expansion_runs
 from .plumbing import SurfaceClass, adjunction_ok
 from .realizability import RealizabilityCertificate, verify_certificate
 
@@ -87,36 +90,12 @@ class RouteVerdict:
     diagnostic: str | None = None
 
 
-def _expansion_runs(p: int, q: int) -> tuple[int, ...]:
-    """Run-length form (k0, c1, k1, ..., cj, kj) of the expansion of p/q > 1.
-
-    The expansion is 2 x k0, c1, 2 x k1, ..., cj, 2 x kj with every
-    single c >= 3 and runs k >= 0.  A run of k 2s ahead of a tail t
-    evaluates to ((k+1)t - k)/(kt - k + 1), so 1/(p/q - 1) = k + 1/(t-1)
-    with t - 1 > 1 unless the expansion ends: one divmod reads the run
-    and a second reads the single c = ceil(t).  Both steps are those of
-    Euclid's algorithm, so the length is logarithmic in p.
-    """
-    out = []
-    while True:
-        k, r = divmod(q, p - q)
-        out.append(k)
-        if r == 0:  # p/q = (k+1)/k: the expansion ends with the run
-            return tuple(out)
-        u, v = divmod(p - q, r)  # t - 1 = (p-q)/r
-        if v == 0:  # t = u + 1 is the last coefficient
-            out += [u + 1, 0]
-            return tuple(out)
-        out.append(u + 2)
-        p, q = r, r - v  # the tail after c is 1/(c - t)
-
-
 def parse_delta_sequences(gammas) -> IterationInput:
     """Extract (n_seq, m_seq, d) from a descending gamma vector.
 
     Requires d1 <= 2 < d2 <= d3 for the reciprocals; callers handle the
     d1 > 2 and d2 <= 2 cases before reaching here.  The run lengths are
-    read off the reciprocals directly; no expansion is written out.
+    read off the reciprocals; no expansion is written out.
     """
     g = tuple(Fraction(x) for x in gammas)
     if len(g) < 3:
@@ -126,8 +105,8 @@ def parse_delta_sequences(gammas) -> IterationInput:
     d1, d2, d3 = 1 / g[0], 1 / g[1], 1 / g[2]
     if not d1 <= 2 < d2 <= d3:
         raise ValueError(f"reciprocals out of range: {d1}, {d2}, {d3}")
-    n_seq = _expansion_runs(d1.numerator, d1.denominator)
-    m_seq = _expansion_runs(d2.numerator, d2.denominator)[1:]  # d2 > 2: no leading 2s
+    n_seq = expansion_runs(d1.numerator, d1.denominator)
+    m_seq = expansion_runs(d2.numerator, d2.denominator)[1:]  # d2 > 2: no leading 2s
     d = -((-d3.numerator) // d3.denominator)  # leading coefficient = ceil(d3)
     return IterationInput((n_seq[0] - 1,) + n_seq[1:], m_seq, d)
 
@@ -156,44 +135,19 @@ def run_trace(inp: IterationInput) -> list[BlowdownState]:
     return states
 
 
-def _eval_runs(runs) -> tuple[int, int]:
-    """(numerator, denominator) of the expansion with run-length form
-    (k0, c1, k1, c2, ...): runs of 2s at even positions, singles at odd.
-
-    Evaluated right to left on the pair (x, y) standing for x/y, starting
-    from infinity.  A single c maps it by [[c, -1], [1, 0]]; a run of k
-    2s by [[2, -1], [1, 0]]^k = [[k+1, -k], [k, 1-k]], which adds k(x-y)
-    to both entries.  Every matrix has determinant 1, so the result is in
-    lowest terms.
-    """
-    x, y = 1, 0
-    for idx in range(len(runs) - 1, -1, -1):
-        if idx % 2 == 0:
-            step = runs[idx] * (x - y)
-            x, y = x + step, y + step
-        else:
-            x, y = runs[idx] * x - y, x
-    return x, y
-
-
 def _rho_from_m_prefix(m_seq, k: int) -> tuple[int, int]:
-    """Value of [2 x (m1-2), m2+3, 2 x (m3-3), ..., m_k+3] for even k."""
-    runs = [m_seq[0] - 2]
-    for idx in range(1, k):
-        runs.append(m_seq[idx] + 3 if idx % 2 == 1 else m_seq[idx] - 3)
-    return _eval_runs(runs)
+    """Value of [2 x (m1-2), m2+3, 2 x (m3-3), ..., m_k+3] for even k: the
+    dual of [m1, 2 x m2, ..., m_{k-1}, 2 x (m_k+1)]."""
+    return eval_runs(dual_runs((0, *m_seq[:k - 1], m_seq[k - 1] + 1)))
 
 
 def _rho_from_n_prefix(n_seq, k: int) -> tuple[int, int]:
-    """Value of [2 x (n1+1), n2, 2 x n3, ..., 2 x (n_k+1)] for odd k.
-
-    The final run gains one extra 2; for k = 1 the leading and final run
-    coincide and both adjustments apply.
-    """
+    """Value of [2 x (n1+1), n2, 2 x n3, ..., 2 x (n_k+1)] for odd k; for
+    k = 1 the leading and final run coincide and both gain a 2."""
     runs = list(n_seq[:k])
     runs[0] += 1
     runs[-1] += 1
-    return _eval_runs(runs)
+    return eval_runs(runs)
 
 
 def _validated(gammas, assignment, rho: tuple[int, int], tag: str) -> RouteVerdict:

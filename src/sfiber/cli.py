@@ -109,6 +109,8 @@ def _parse_seifert_json(text: str) -> SeifertData:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SeifertParseError(exc.msg, exc.pos)
+    except RecursionError:
+        raise SeifertParseError("JSON nested too deeply", 0)
     if not isinstance(payload, dict):
         raise SeifertParseError("expected a JSON object", 0)
     try:

@@ -75,7 +75,8 @@ def _sweep(report_type, items, check, jobs: int):
     carries (such as a memo dict bound by ``partial``) is per worker.
     Integer fields of the reports add; list fields extend and are sorted.
     """
-    jobs = max(jobs, 1)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     tasks = [(report_type, items, check, jobs, k) for k in range(jobs)]
     if jobs == 1:
         parts = [_run_part(tasks[0])]

@@ -1,10 +1,11 @@
 """Shared test references: a brute-force realizability search, a
-Fraction-based minus-sign expansion, plus-sign evaluation, the arithmetic
-dual and the value order of expansions, blow-downs and determinants of
-plumbings, the circle-bundle criteria, the expanded-list forms of the
-route's run-length computations, and the staircase graphs of the triangle
-blow-down replays."""
+Fraction-based minus-sign expansion, the staircase point diagram,
+plus-sign evaluation, the arithmetic dual and the value order of
+expansions, blow-downs and determinants of plumbings, the circle-bundle
+criteria, the expanded-list forms of the route's run-length computations,
+and the staircase graphs of the triangle blow-down replays."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, prod
 
@@ -52,6 +53,33 @@ def neg_cf_expand_fraction(value):
         if rho == c:
             return tuple(coeffs)
         rho = 1 / (c - rho)
+
+
+@dataclass(frozen=True)
+class PointDiagram:
+    """Staircase of dots converting an expansion into its dual's expansion.
+
+    Row i holds ``rows[i]`` dots and starts under the last dot of row i-1.
+    Column j then holds (dual coefficient j) - 1 dots.
+    """
+
+    rows: tuple[int, ...]
+
+    @classmethod
+    def from_cf(cls, coeffs) -> "PointDiagram":
+        if not coeffs or any(c < 2 for c in coeffs):
+            raise ValueError("point diagram requires coefficients >= 2")
+        return cls(tuple(c - 1 for c in coeffs))
+
+    def column_counts(self) -> tuple[int, ...]:
+        ncols = sum(self.rows) - (len(self.rows) - 1)
+        counts = [0] * ncols
+        start = 0
+        for length in self.rows:
+            for j in range(start, start + length):
+                counts[j] += 1
+            start += length - 1
+        return tuple(counts)
 
 
 def pos_cf_eval(coeffs):

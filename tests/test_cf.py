@@ -10,13 +10,21 @@ from conftest import (
     EQUAL,
     GREATER,
     LESS,
+    PointDiagram,
     dual,
     lex_compare,
     neg_cf_expand_fraction,
     pos_cf_eval,
     reverse_cf,
 )
-from sfiber.cf import PointDiagram, neg_cf_eval, neg_cf_expand, riemenschneider_dual
+from sfiber.cf import (
+    dual_runs,
+    eval_runs,
+    expansion_runs,
+    neg_cf_eval,
+    neg_cf_expand,
+    riemenschneider_dual,
+)
 
 
 rationals_gt1 = st.tuples(st.integers(2, 400), st.integers(1, 399)).filter(
@@ -75,6 +83,29 @@ def test_dual_examples(value, expected):
 ])
 def test_riemenschneider_examples(coeffs, expected):
     assert riemenschneider_dual(coeffs) == expected
+
+
+@pytest.mark.parametrize("bad", [(), (1,), (3, 1, 3)])
+def test_dual_domain_errors(bad):
+    with pytest.raises(ValueError):
+        riemenschneider_dual(bad)
+
+
+def test_eval_empty_sequence():
+    with pytest.raises(ValueError):
+        neg_cf_eval(())
+
+
+@given(st.integers(1, 10 ** 6).flatmap(
+    lambda q: st.integers(q + 1, 10 ** 7).map(lambda p: Fraction(p, q))))
+def test_runs_read_evaluate_and_dualize_large(value):
+    """On the run-length form alone: evaluation inverts reading, and the dual
+    evaluates to r/(r-1) and is an involution, at sizes whose written-out
+    expansions can have up to a million terms."""
+    runs = expansion_runs(value.numerator, value.denominator)
+    assert eval_runs(runs) == (value.numerator, value.denominator)
+    assert Fraction(*eval_runs(dual_runs(runs))) == dual(value)
+    assert dual_runs(dual_runs(runs)) == runs
 
 
 def test_point_diagram_staircase():

@@ -210,6 +210,24 @@ def test_sweep_deterministic_across_jobs(capsys):
     assert payload1 == payload2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_rejects_nonpositive_jobs(jobs, capsys):
+    code, out = run_cli(["sweep", "--r", "3", "--max-denominator", "6", "--jobs", jobs],
+                        capsys=capsys)
+    assert code == 3 and out == ""
+
+
+def test_deeply_nested_json_is_a_parse_error(capsys):
+    """JSON nested past the decoder's recursion limit is a syntax error,
+    not a traceback."""
+    depth = 100_000
+    text = '{"b": ' + "[" * depth + "]" * depth + ', "g": 0}'
+    code = main(["decide", "contact", text])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_invariants_roundtrip_fields(capsys):
     import json
     code, out = run_cli(["invariants", POINCARE_EXPR], capsys=capsys)
@@ -270,3 +288,24 @@ def test_scripts_run(script, args, header):
     result = _fresh_python([str(SCRIPTS / script), *args], timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[0] == header
+
+
+def test_decision_table_quiet_on_closed_pipe():
+    """A reader that stops after one line (`| head -1`) ends the table with
+    exit 0 and nothing on stderr; the table (about 200 KB) outgrows the
+    pipe buffer, so the script does hit the closed pipe."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
+    args = ["--max-alpha", "7", "--max-r", "2", "--max-b", "3"]
+    with subprocess.Popen([sys.executable, str(SCRIPTS / "decision_table.py"), *args],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env=env) as proc:
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+    assert first.startswith("seifert,")
+    assert code == 0 and err == "", err
