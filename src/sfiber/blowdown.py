@@ -80,14 +80,34 @@ class BlowdownState:
 
 @dataclass(frozen=True)
 class RouteVerdict:
-    """Realizable with certificate and case tag, obstructed, or inconclusive."""
+    """Realizable with certificate and case tag, obstructed, or inconclusive.
+
+    ``trace`` holds the blow-down states when the iteration ran.  The
+    diagnostic is written only when read, from the certificate, the top
+    surface ``trace[stage]`` or the horizontal sphere's square.
+    """
 
     kind: str  # "realizable" | "obstructed" | "inconclusive"
     case_tag: str | None = None
     certificate: RealizabilityCertificate | None = None
     reason: str | None = None
     stage: int | None = None
-    diagnostic: str | None = None
+    trace: tuple[BlowdownState, ...] = ()
+    horizontal_square: int | None = None
+
+    @property
+    def diagnostic(self) -> str | None:
+        if self.kind == "inconclusive":
+            cert = self.certificate
+            return f"derived certificate ({cert.m},{cert.a}) fails validation"
+        if self.reason == "zero-square sphere":
+            return "two largest entries sum to >= 1"
+        if self.horizontal_square is not None:
+            return f"horizontal sphere has square {self.horizontal_square}"
+        if self.reason is not None:
+            top = self.trace[self.stage]
+            return f"top surface has square {top.x}, genus {top.genus}"
+        return None
 
 
 def parse_delta_sequences(gammas) -> IterationInput:
@@ -111,7 +131,7 @@ def parse_delta_sequences(gammas) -> IterationInput:
     return IterationInput((n_seq[0] - 1,) + n_seq[1:], m_seq, d)
 
 
-def run_trace(inp: IterationInput) -> list[BlowdownState]:
+def run_trace(inp: IterationInput) -> tuple[BlowdownState, ...]:
     """Iterate the blow-down state through stage min(2q, 2p+1) + 1.
 
     Even steps consume a run of the first expansion, odd steps one of the
@@ -132,7 +152,7 @@ def run_trace(inp: IterationInput) -> list[BlowdownState]:
             genus += c * comb(p, 2)
             q += c * p
         states.append(BlowdownState(i + 1, x, p, q, genus))
-    return states
+    return tuple(states)
 
 
 def _rho_from_m_prefix(m_seq, k: int) -> tuple[int, int]:
@@ -150,16 +170,10 @@ def _rho_from_n_prefix(n_seq, k: int) -> tuple[int, int]:
     return eval_runs(runs)
 
 
-def _validated(gammas, assignment, rho: tuple[int, int], tag: str) -> RouteVerdict:
+def _validated(gammas, assignment, rho: tuple[int, int], tag: str, trace=()) -> RouteVerdict:
     cert = RealizabilityCertificate(rho[0], rho[1], assignment)
-    if verify_certificate(gammas, cert):
-        return RouteVerdict("realizable", case_tag=tag, certificate=cert)
-    return RouteVerdict(
-        "inconclusive",
-        case_tag=tag,
-        certificate=cert,
-        diagnostic=f"derived certificate ({cert.m},{cert.a}) fails validation",
-    )
+    kind = "realizable" if verify_certificate(gammas, cert) else "inconclusive"
+    return RouteVerdict(kind, case_tag=tag, certificate=cert, trace=trace)
 
 
 def decide_route(gammas) -> RouteVerdict:
@@ -184,36 +198,25 @@ def decide_route(gammas) -> RouteVerdict:
     if gs[0] < Fraction(1, 2):
         return _validated(g, order, (2, 1), "gamma1-below-half")
     if gs[0] + gs[1] >= 1:
-        return RouteVerdict(
-            "obstructed",
-            reason="zero-square sphere",
-            stage=0,
-            diagnostic="two largest entries sum to >= 1",
-        )
+        return RouteVerdict("obstructed", reason="zero-square sphere", stage=0)
     inp = parse_delta_sequences(tuple(gs))
     limit = min(2 * inp.q, 2 * inp.p + 1)
-    for state in run_trace(inp):
+    trace = run_trace(inp)
+    for state in trace:
         i = state.stage
         if not adjunction_ok(SurfaceClass(state.x, state.genus)):
-            return RouteVerdict(
-                "obstructed",
-                reason="adjunction violation",
-                stage=i,
-                diagnostic=f"top surface has square {state.x}, genus {state.genus}",
-            )
+            return RouteVerdict("obstructed", reason="adjunction violation", stage=i, trace=trace)
         if 1 <= i <= limit:
             c = (-1) ** i * (inp.m_seq[i - 1] - inp.n_seq[i - 1]) + 2
             if c > -1:
-                return RouteVerdict(
-                    "obstructed",
-                    reason="adjunction violation",
-                    stage=i,
-                    diagnostic=f"horizontal sphere has square {c}",
-                )
+                return RouteVerdict("obstructed", reason="adjunction violation", stage=i,
+                                    trace=trace, horizontal_square=c)
             if c < -1:
                 if i % 2 == 0:
-                    return _validated(g, order, _rho_from_m_prefix(inp.m_seq, i), "even-k")
-                return _validated(g, order, _rho_from_n_prefix(inp.n_seq, i), "odd-k")
+                    return _validated(g, order, _rho_from_m_prefix(inp.m_seq, i), "even-k", trace)
+                return _validated(g, order, _rho_from_n_prefix(inp.n_seq, i), "odd-k", trace)
     if 2 * inp.q < 2 * inp.p + 1:
-        return _validated(g, order, _rho_from_n_prefix(inp.n_seq, 2 * inp.q + 1), "two-q-short")
-    return _validated(g, order, _rho_from_m_prefix(inp.m_seq, 2 * inp.p + 2), "two-p-short")
+        rho, tag = _rho_from_n_prefix(inp.n_seq, 2 * inp.q + 1), "two-q-short"
+    else:
+        rho, tag = _rho_from_m_prefix(inp.m_seq, 2 * inp.p + 2), "two-p-short"
+    return _validated(g, order, rho, tag, trace)

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Seifert data is written ``{b; g; (a1,b1),(a2,b2),...}`` and gamma vectors
-as comma-separated fractions ``1/2,1/3,1/5``.  Reports are JSON with
-rationals encoded as exact "num/den" strings.  Exit codes: 0 computed,
+as comma-separated entries ``p`` or ``p/q`` such as ``1/2,1/3,1/5``; both
+grammars take ASCII integers only.  Reports are the library's values as
+JSON, rationals as exact "num/den" strings.  Exit codes: 0 computed,
 2 syntax error, 3 invalid invariants or domain error, 4 internal
 consistency failure.
 """
@@ -11,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from . import blowdown, plumbing, realizability
@@ -33,6 +36,9 @@ from .seifert import (
     reverse_orientation,
     validate,
 )
+
+
+_GAMMA_ENTRY = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
 class SeifertParseError(ValueError):
@@ -69,7 +75,7 @@ def parse_seifert(text: str) -> SeifertData:
         if pos < len(s) and s[pos] in "+-":
             pos += 1
         digits = pos
-        while pos < len(s) and s[pos].isdigit():
+        while pos < len(s) and "0" <= s[pos] <= "9":
             pos += 1
         if pos == digits:
             raise SeifertParseError("expected an integer", start)
@@ -115,11 +121,14 @@ def _parse_seifert_json(text: str) -> SeifertData:
         raise SeifertParseError("expected a JSON object", 0)
     try:
         b, g = payload["b"], payload["g"]
-        fibers = tuple((int(a), int(x)) for a, x in payload.get("fibers", []))
+        fibers = tuple((a, x) for a, x in payload.get("fibers", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise SeifertParseError(f"malformed JSON Seifert data: {exc}", 0)
-    if not isinstance(b, int) or not isinstance(g, int):
+    # type(...) is int: JSON floats, strings and booleans are not integers
+    if type(b) is not int or type(g) is not int:
         raise SeifertParseError("b and g must be integers", 0)
+    if any(type(v) is not int for fiber in fibers for v in fiber):
+        raise SeifertParseError("fiber entries must be integers", 0)
     data = SeifertData(b, g, fibers)
     validate(data)
     return data
@@ -133,40 +142,30 @@ def seifert_to_text(data: SeifertData) -> str:
 
 
 def parse_gamma_list(text: str) -> tuple[Fraction, ...]:
-    entries = []
+    """Parse comma-separated entries ``p`` or ``p/q``: ASCII integers, a
+    sign only on ``p``, whitespace around the entry."""
+    entries, pos = [], 0
     for part in text.split(","):
-        part = part.strip()
-        if not part:
-            raise ValueError("empty gamma entry")
-        entries.append(Fraction(part))
+        match = _GAMMA_ENTRY.fullmatch(part)
+        if match is None:
+            raise SeifertParseError("expected an entry p or p/q", pos)
+        entries.append(Fraction(int(match[1]), int(match[2] or 1)))
+        pos += len(part) + 1
     return tuple(entries)
 
 
-def _frac(x) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _cert_json(cert):
-    if cert is None:
-        return None
-    return {"m": cert.m, "a": cert.a, "assignment": list(cert.assignment)}
-
-
-def _decision_json(decision) -> dict:
-    evidence = {}
-    for key, value in decision.evidence.items():
-        if key == "certificate":
-            evidence[key] = _cert_json(value)
-        elif isinstance(value, Fraction):
-            evidence[key] = _frac(value)
-        else:
-            evidence[key] = value
-    return {"answer": decision.answer, "case": decision.fired_case, "evidence": evidence}
+def _json_value(obj):
+    """Encode what ``json`` cannot: a Fraction as "num/den", a dataclass as
+    its fields."""
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    if is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    raise TypeError(f"cannot encode {type(obj).__name__} as JSON")
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True, default=_json_value) + "\n")
 
 
 def _read_expr(value: str) -> str:
@@ -184,10 +183,10 @@ def _cmd_invariants(args) -> int:
             "normalized": seifert_to_text(m),
             "b": m.b,
             "g": m.g,
-            "fibers": [list(f) for f in m.fibers],
-            "e": _frac(euler_number(m)),
+            "fibers": m.fibers,
+            "e": euler_number(m),
             "e0": e_zero(m),
-            "gamma": [_frac(g) for g in gamma_vector(m)],
+            "gamma": gamma_vector(m),
             "chi": euler_char_base(m.g),
         }
 
@@ -203,14 +202,14 @@ def _cmd_decide(args) -> int:
         decision = admits_transverse_foliation(data)
     else:
         decision = admits_invariant_transverse_contact(data)
-    _emit(_decision_json(decision))
+    _emit({"answer": decision.answer, "case": decision.fired_case, "evidence": decision.evidence})
     return 0
 
 
 def _cmd_realizable(args) -> int:
     gammas = parse_gamma_list(_read_expr(args.gammas))
     cert = realizability.is_realizable(gammas)
-    _emit({"realizable": cert is not None, "certificate": _cert_json(cert)})
+    _emit({"realizable": cert is not None, "certificate": cert})
     return 0
 
 
@@ -234,25 +233,17 @@ def _cmd_plumbing(args) -> int:
 def _cmd_blowdown_trace(args) -> int:
     gammas = parse_gamma_list(_read_expr(args.gammas))
     verdict = blowdown.decide_route(gammas)
-    ordered = tuple(sorted(gammas, reverse=True))
-    trace = []
-    if ordered[0] >= Fraction(1, 2) and ordered[0] + ordered[1] < 1:
-        states = blowdown.run_trace(blowdown.parse_delta_sequences(ordered))
-        trace = [
-            {"stage": s.stage, "x": s.x, "p": s.p, "q": s.q, "genus": s.genus}
-            for s in states
-        ]
     _emit(
         {
             "verdict": {
                 "kind": verdict.kind,
                 "case": verdict.case_tag,
-                "certificate": _cert_json(verdict.certificate),
+                "certificate": verdict.certificate,
                 "reason": verdict.reason,
                 "stage": verdict.stage,
                 "diagnostic": verdict.diagnostic,
             },
-            "trace": trace,
+            "trace": verdict.trace,
         }
     )
     return 0
@@ -273,13 +264,10 @@ def _cmd_sweep(args) -> int:
             "jobs": jobs,
             "gamma_multisets": oracle.examined,
             "realizable": oracle.realizable,
-            "route_oracle_mismatches": [[_frac(g) for g in c] for c in oracle.mismatches],
-            "inconclusive": [[_frac(g) for g in c] for c in oracle.inconclusive],
+            "route_oracle_mismatches": oracle.mismatches,
+            "inconclusive": oracle.inconclusive,
             "derived_manifolds": derived.examined,
-            "foliation_contact_violations": [
-                [b, g, [list(f) for f in fibers], kind]
-                for b, g, fibers, kind in derived.violations
-            ],
+            "foliation_contact_violations": derived.violations,
         }
     )
     if oracle.mismatches or oracle.inconclusive or derived.violations:

@@ -22,6 +22,7 @@ from conftest import (
 from sfiber.blowdown import (
     BlowdownState,
     IterationInput,
+    RouteVerdict,
     decide_route,
     parse_delta_sequences,
     run_trace,
@@ -29,7 +30,7 @@ from sfiber.blowdown import (
     _rho_from_n_prefix,
 )
 from sfiber.cf import neg_cf_eval, neg_cf_expand, riemenschneider_dual
-from sfiber.realizability import is_realizable, verify_certificate
+from sfiber.realizability import RealizabilityCertificate, is_realizable, verify_certificate
 from sfiber.sweeps import route_oracle_sweep
 
 F = Fraction
@@ -328,6 +329,32 @@ def test_route_case_tags():
         assert verdict.kind == "realizable", (gammas, verdict)
         assert verdict.case_tag == tag, (gammas, verdict)
         assert verify_certificate(gammas, verdict.certificate)
+
+
+def test_route_verdict_carries_its_trace():
+    """The iteration's states ride on the verdict; quick verdicts have none."""
+    gammas = (F(3, 5), F(1, 3), F(1, 9))
+    assert decide_route(gammas).trace == run_trace(parse_delta_sequences(gammas))
+    assert decide_route((F(1, 3), F(1, 3), F(1, 4))).trace == ()
+
+
+def test_route_diagnostics():
+    """Each obstruction and the inconclusive kind explain themselves in
+    words built from the numbers the verdict holds."""
+    verdict = decide_route((F(7, 8), F(1, 9), F(1, 9)))
+    assert (verdict.kind, verdict.stage) == ("obstructed", 2)
+    assert verdict.trace[2] == BlowdownState(2, 63, 8, 9, 28)
+    assert verdict.diagnostic == "top surface has square 63, genus 28"
+    verdict = decide_route((F(1, 2), F(1, 2), F(1, 5)))
+    assert verdict.diagnostic == "two largest entries sum to >= 1"
+    assert decide_route((F(3, 5), F(1, 3), F(1, 9))).diagnostic is None
+    # no input is known to reach these two, so the verdicts are built by hand
+    horizontal = RouteVerdict("obstructed", reason="adjunction violation", stage=1,
+                              horizontal_square=0)
+    assert horizontal.diagnostic == "horizontal sphere has square 0"
+    cert = RealizabilityCertificate(8, 5, (0, 1, 2))
+    inconclusive = RouteVerdict("inconclusive", case_tag="odd-k", certificate=cert)
+    assert inconclusive.diagnostic == "derived certificate (8,5) fails validation"
 
 
 def test_route_domain_errors():

@@ -5,8 +5,10 @@ import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -173,6 +175,95 @@ def test_blowdown_trace_output(capsys):
     # quick-certificate inputs have no iteration to trace
     code, out = run_cli(["blowdown-trace", "1/3,1/3,1/4"], capsys=capsys)
     assert json.loads(out)["trace"] == []
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("args, golden", [
+    (["invariants", POINCARE_EXPR], "invariants_poincare.json"),
+    (["blowdown-trace", "3/5,1/3,1/9"], "blowdown_trace_3_5_1_3_1_9.json"),
+    (["blowdown-trace", "7/8,1/9,1/9"], "blowdown_trace_7_8_1_9_1_9.json"),
+    (["blowdown-trace", "8/9,8/9,8/9"], "blowdown_trace_8_9_8_9_8_9.json"),
+    (["sweep", "--r", "3", "--max-denominator", "5", "--jobs", "1"], "sweep_r3_d5_jobs1.json"),
+    (["sweep", "--r", "3", "--max-denominator", "5", "--jobs", "2"], "sweep_r3_d5_jobs2.json"),
+], ids=["invariants", "trace-realizable", "trace-top-surface", "trace-zero-square",
+        "sweep-jobs1", "sweep-jobs2"])
+def test_golden_bytes(args, golden, capsys):
+    """Byte-for-byte reports: a realizable trace, a top surface obstructed
+    at stage 2, a zero-square sphere with no iteration, and a sweep whose
+    report differs between job counts only in its "jobs" line."""
+    code, out = run_cli(args, capsys=capsys)
+    assert code == 0 and out == (GOLDEN / golden).read_text()
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("sfiber ")]
+
+
+@pytest.mark.parametrize("args", _readme_cli_lines(), ids=lambda args: args[0])
+def test_readme_cli_examples(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # `plumbing --dot e8.dot` writes here
+    assert run_cli(args, capsys=capsys)[0] == 0
+
+
+@pytest.mark.parametrize("text", ["{٣; 0;}", "{²; 0;}", "{-1; 0; (٢,1)}"])
+def test_parse_rejects_non_ascii_digits(text, capsys):
+    with pytest.raises(SeifertParseError, match="expected an integer") as err:
+        parse_seifert(text)
+    assert err.value.position == text.index(next(c for c in text if c in "٣²٢"))
+    assert run_cli(["decide", "contact", text], capsys=capsys)[0] == 2
+
+
+@pytest.mark.parametrize("text", [
+    '{"b": true, "g": false, "fibers": [[2.9, 1.5], ["3", 1]]}',
+    '{"b": true, "g": 0}',
+    '{"b": -1, "g": 0.0}',
+    '{"b": -1, "g": 0, "fibers": [[2.9, 1.5], [3, 1], [5, 1]]}',
+    '{"b": -1, "g": 0, "fibers": [["2", "1"], [3, 1], [5, 1]]}',
+    '{"b": -1, "g": 0, "fibers": [[2, true], [3, 1], [5, 1]]}',
+])
+def test_parse_json_requires_integers(text, capsys):
+    with pytest.raises(SeifertParseError):
+        parse_seifert(text)
+    assert run_cli(["decide", "contact", text], capsys=capsys)[0] == 2
+
+
+@pytest.mark.parametrize("text", [
+    "0.5,1/3,1/5", "1e-3,1/3,1/5", "1_0/21,1/3,1/5", "1/-2,1/3,1/5", "1/+2,1/3,1/5",
+    "٣/5,1/3,1/5", "abc", "1/2,,1/3", "", "1 / 2,1/3,1/5", "1/2/3,1/3,1/5",
+])
+def test_gamma_grammar_rejects(text, capsys):
+    with pytest.raises(SeifertParseError):
+        parse_gamma_list(text)
+    for command in ("realizable", "blowdown-trace"):
+        code, out = run_cli([command, text], capsys=capsys)
+        assert code == 2 and out == ""
+
+
+def test_gamma_grammar_accepts():
+    assert parse_gamma_list(" +3/5 ,1/3,\t1/9 ") == (Fraction(3, 5), Fraction(1, 3), Fraction(1, 9))
+    assert parse_gamma_list("2/4,1") == (Fraction(1, 2), Fraction(1))
+    with pytest.raises(SeifertParseError) as err:
+        parse_gamma_list("1/2, 1/3,x")
+    assert err.value.position == 9
+
+
+def test_gamma_out_of_range_keeps_exit_3(capsys):
+    for text, message in [("5/4,1/3,1/5", "got 5/4"), ("1/2,-1/3,1/5", "got -1/3"),
+                          ("1/0,1/3,1/5", "Fraction(1, 0)")]:
+        assert main(["realizable", text]) == 3
+        assert message in capsys.readouterr().err
+
+
+def test_gamma_exponent_rejected_quickly(capsys):
+    """The exponent is never evaluated: `Fraction` would build 10**30000000."""
+    start = time.perf_counter()
+    code, out = run_cli(["realizable", "1e-30000000,1/3,1/5"], capsys=capsys)
+    assert code == 2 and out == ""
+    assert time.perf_counter() - start < 1
 
 
 def test_stdin_dash(capsys):

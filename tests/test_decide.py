@@ -242,3 +242,13 @@ def test_unnormalized_input_accepted():
     # (2,7) normalizes to (2,1) with b absorbing 3
     assert decision.answer == admits_transverse_contact(POINCARE).answer
     assert euler_number(normalize(SeifertData(-4, 0, ((2, 7), (3, 1), (5, 1))))) == Fraction(-1, 30)
+
+
+@pytest.mark.parametrize("digits", [2151, 4000])
+def test_e0_minus_one_family_decides_past_the_digit_limit(digits):
+    """The route formats no integer while it decides: the top surface's
+    square has about twice the input's digits, past CPython's default
+    4,300-digit int->str limit."""
+    n = 10 ** (digits - 1) + 7
+    decision = admits_transverse_contact(SeifertData(-2, 0, ((n, 1), (n + 1, n), (n + 2, n + 1))))
+    assert decision.answer is False and decision.evidence["e0"] == -1
